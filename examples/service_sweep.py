@@ -4,7 +4,8 @@
    same loop ``python -m repro.service worker`` runs, here thread-hosted so
    the example is hermetic);
 2. submit the paper's 16-point sampling sweep (2 strategies × 4 step counts
-   × 2 seeded repeats) through a ``ServiceClient`` and poll its status;
+   × 2 seeded repeats) through a ``ServiceClient`` and block in the
+   daemon's ``wait`` op until it finishes, printing each progress change;
 3. fetch the decoded records and check them bit-for-bit against an
    in-process ``SerialExecutor`` run — deterministic seeding makes the
    answer worker-count independent;
@@ -107,6 +108,8 @@ def main() -> None:
     results = session.sweep(problem, strategies=("direct",), steps=(1, 2, 4))
     print(f"Session(executor=client): {results.summary()}")
 
+    # The drain answers each idle worker's next claim with "shutdown", so
+    # the joins below return at once.
     daemon.shutdown()
     for thread in workers:
         thread.join(timeout=10.0)

@@ -188,7 +188,7 @@ class ResultCache:
         quarantined shard) is logged and counted, never raised — the caller
         keeps its computed result, it simply stays uncached.  A failure
         between the array write and the sidecar write leaves at worst an
-        orphan npz, which reads as a miss and is swept by :meth:`stats`.
+        orphan npz, which reads as a miss and is swept by :meth:`clear`.
         """
         with span("cache.put", arrays=len(arrays)) as sp:
             try:
@@ -286,11 +286,10 @@ class ResultCache:
     def stats(self) -> dict:
         """Entry count, byte total and the session's hit/miss counters.
 
-        Also sweeps orphaned ``.npz`` files (arrays whose sidecar is gone —
-        the debris of a crash mid-removal) so the reported byte total and the
-        eviction estimate reflect only entries that can actually be served.
+        Read-only: an ``.npz`` without its sidecar is not counted, and it is
+        not removed either, because a concurrent :meth:`put_encoded` may be
+        between its two writes.  :meth:`clear` sweeps such orphans.
         """
-        orphans = self._sweep_orphans()
         entries = self.entries()
         return {
             "directory": str(self.directory),
@@ -299,7 +298,6 @@ class ResultCache:
             "max_bytes": self.max_bytes,
             "hits": self.hits,
             "misses": self.misses,
-            "orphans_swept": orphans,
         }
 
     def clear(self) -> int:

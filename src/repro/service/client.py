@@ -10,11 +10,12 @@ layer gains remote execution through one line::
     results = session.sweep(problem, strategies=("direct", "pauli"), ...)
 
 In executor mode the client submits the session's canonical task payloads as
-one batch job, polls the daemon's per-job progress counters (forwarding them
-to the session's ``progress`` callback), and returns the per-point outcome
-dicts exactly as an in-process executor would — the session cannot tell a
-daemon from a process pool, but every submitting client now shares the
-daemon's warm compile memo and one result-cache namespace.
+one batch job, blocks in the daemon's ``wait`` op until the job finishes
+(forwarding each change of its progress counters to the session's
+``progress`` callback), and returns the per-point outcome dicts exactly as an
+in-process executor would — the session cannot tell a daemon from a process
+pool, but every submitting client now shares the daemon's warm compile memo
+and one result-cache namespace.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from repro.service.protocol import (
 )
 from repro.telemetry import current_trace_context, span
 
-#: Default seconds between job-status polls in :meth:`ServiceClient.wait`.
-DEFAULT_POLL_INTERVAL = 0.05
+#: Longest one ``wait`` request of :meth:`ServiceClient.wait` blocks in the
+#: daemon, so the ``timeout`` and stall clocks are checked at least this often.
+WAIT_SLICE = 1.0
 
 #: Default seconds of *no observable progress* before :meth:`ServiceClient.wait`
 #: declares a job stalled (progress resets the clock; see ``stall_timeout``).
@@ -51,12 +53,14 @@ _DEFAULT_RETRY = object()
 class ServiceClient:
     """Talk to a repro daemon; usable anywhere an executor is.
 
+    Waiting on a job never sleeps in the client: :meth:`wait` (and so
+    :meth:`map`) blocks in the daemon's ``wait`` op, which answers the
+    moment the job finishes.
+
     Parameters
     ----------
     socket_path:
         The daemon's Unix socket (default: the standard service directory).
-    poll_interval:
-        Seconds between status polls while waiting on a job.
     timeout:
         Per-request socket timeout in seconds.
     stall_timeout:
@@ -82,7 +86,6 @@ class ServiceClient:
         self,
         socket_path: "str | Path | None" = None,
         *,
-        poll_interval: float = DEFAULT_POLL_INTERVAL,
         timeout: float = 60.0,
         stall_timeout: "float | None" = DEFAULT_STALL_TIMEOUT,
         connect_window: float = DEFAULT_CONNECT_WINDOW,
@@ -91,7 +94,6 @@ class ServiceClient:
         self.socket_path = (
             Path(socket_path).expanduser() if socket_path else default_socket_path()
         )
-        self.poll_interval = float(poll_interval)
         self.timeout = float(timeout)
         self.stall_timeout = (
             None if stall_timeout is None else float(stall_timeout)
@@ -160,7 +162,12 @@ class ServiceClient:
         stall_timeout: "float | None" = None,
         progress=None,
     ) -> dict:
-        """Poll until the job reaches a terminal state; returns final status.
+        """Block until the job reaches a terminal state; returns final status.
+
+        The blocking happens in the daemon: each ``wait`` request returns as
+        soon as the job finishes, so there is no client-side poll sleep.
+        With a ``progress(done, total)`` callback the request also carries
+        the last observed ``(state, done)`` and returns on every change.
 
         Two independent clocks can end the wait early: ``timeout`` is a hard
         wall-clock cap on the whole wait, and ``stall_timeout`` (default:
@@ -168,6 +175,8 @@ class ServiceClient:
         observable progress* — no done-count movement and no state change —
         for that long.  A 10 000-point sweep completing one point a minute
         never stalls; a sweep whose workers all died does, after one window.
+        Each request blocks for at most :data:`WAIT_SLICE` and never past
+        either clock, so both are checked on time.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         if stall_timeout is None:
@@ -175,7 +184,17 @@ class ServiceClient:
         last_progress = time.monotonic()
         observed: "tuple | None" = None
         while True:
-            status = self.status(job_id)
+            now = time.monotonic()
+            # Half the socket timeout at most: the answer must beat it home.
+            budget = [WAIT_SLICE, 0.5 * self.timeout]
+            if deadline is not None:
+                budget.append(deadline - now)
+            if stall_timeout is not None:
+                budget.append(last_progress + stall_timeout - now)
+            fields = {"slice": max(0.0, min(budget))}
+            if progress is not None and observed is not None:
+                fields["seen"] = list(observed)
+            status = self._request("wait", job_id=job_id, **fields)
             if progress is not None:
                 progress(status["done"], status["total"])
             if status["state"] in ("done", "failed", "cancelled"):
@@ -198,7 +217,6 @@ class ServiceClient:
                     f"{job_id[:12]}… (state {status['state']}, "
                     f"{status['done']}/{status['total']} points)"
                 )
-            time.sleep(self.poll_interval)
 
     def result(self, job_id: str, *, partial: bool = False) -> "list[dict]":
         """Per-point outcome dicts (arrays decoded), in grid order."""

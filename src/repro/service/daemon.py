@@ -12,6 +12,11 @@ through two kinds of workers sharing one claim/complete path:
   socket — extra containers or machines joining the same cache namespace
   through a forwarded socket.
 
+Clients do not poll: the ``wait`` op blocks on a condition the daemon
+notifies whenever a job's progress or state moves, and answers at once.
+Workers do poll ``claim``, so a stopping daemon keeps its socket open for a
+short drain in which every claim is answered ``shutdown``.
+
 Every chunk claim carries a lease; a worker that dies mid-chunk simply stops
 renewing and the reaper re-queues the chunk (execution is deterministic and
 cache writes are idempotent, so re-running a chunk is always safe).  Job
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 import os
 import socket
 import threading
@@ -65,6 +71,15 @@ DEFAULT_LEASE_SECONDS = 60.0
 #: Grid points per claimed chunk — the unit of work-stealing and of
 #: cancellation granularity for external workers.
 DEFAULT_CHUNK_SIZE = 2
+
+#: Longest one ``wait`` request blocks before answering with the unchanged
+#: job summary; clients re-issue the op, so a vanished client pins its
+#: connection thread for at most this long.
+MAX_WAIT_SLICE = 5.0
+
+#: Longest a stopping daemon keeps accepting so that idle external workers
+#: hear ``shutdown`` on their next claim instead of finding no socket.
+SHUTDOWN_DRAIN_SECONDS = 1.0
 
 
 @dataclass
@@ -184,7 +199,14 @@ class Daemon:
 
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
+        # Notified whenever a job's (state, done) moves, the daemon starts
+        # stopping, or a draining daemon tells a worker to shut down: it
+        # wakes blocked ``wait`` requests and the shutdown drain.
+        self._changed = threading.Condition(self._lock)
         self._stop = threading.Event()
+        # Set once the shutdown drain is over: the accept loop exits.
+        self._closed = threading.Event()
+        self._told_shutdown: "set[str]" = set()
         self._jobs: "dict[str, Job]" = {}
         self._heap: "list[tuple[int, int, str]]" = []  # (-priority, seq, chunk_id)
         self._chunks: "dict[str, Chunk]" = {}  # pending (unleased) chunks
@@ -297,15 +319,19 @@ class Daemon:
     def request_stop(self) -> None:
         """Ask the daemon to stop (safe from signal handlers and op handlers)."""
         self._stop.set()
-        with self._work:
+        with self._lock:
             self._work.notify_all()
+            self._changed.notify_all()
 
     def shutdown(self, *, join_timeout: float = 10.0) -> None:
-        """Stop threads, persist every job and remove the socket file."""
+        """Drain, stop threads, persist every job and remove the socket file."""
         self.request_stop()
         self.sampler.stop()
         if self.metrics_server is not None:
             self.metrics_server.stop()
+        if self._listener is not None:
+            self._drain_remote_workers()
+        self._closed.set()
         for thread in self._threads:
             if thread is not threading.current_thread():
                 thread.join(timeout=join_timeout)
@@ -323,6 +349,27 @@ class Daemon:
             for job in self._jobs.values():
                 self.store.save(job)
 
+    def _drain_remote_workers(self) -> None:
+        """Keep accepting until each live remote worker has heard ``shutdown``.
+
+        A worker counts as live when it was seen within one lease.  Idle
+        workers poll ``claim``, so they hear it within one poll interval and
+        exit at once instead of riding out their reconnect window against a
+        missing socket.  The drain gives up after
+        :data:`SHUTDOWN_DRAIN_SECONDS` (a worker deep in a long chunk, or one
+        that already left without saying so).
+        """
+        with self._lock:
+            horizon = time.time() - self.lease_seconds
+            live = {
+                info.worker_id
+                for info in self._workers.values()
+                if info.kind == "remote" and info.last_seen >= horizon
+            }
+            self._changed.wait_for(
+                lambda: live <= self._told_shutdown, timeout=SHUTDOWN_DRAIN_SECONDS
+            )
+
     @property
     def running(self) -> bool:
         return self._started_at is not None and not self._stop.is_set()
@@ -330,7 +377,7 @@ class Daemon:
     # ------------------------------------------------------------ socket side
 
     def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+        while not self._closed.is_set():
             try:
                 conn, _ = self._listener.accept()
             except socket.timeout:
@@ -438,6 +485,33 @@ class Daemon:
                 ]
             return summary
 
+    def _op_wait(self, request: dict) -> dict:
+        """Block until the job changes, then answer its ``status`` summary.
+
+        Returns as soon as the job is terminal, its ``(state, done)`` differs
+        from the optional ``seen`` pair the caller last observed, or the
+        ``slice`` seconds (capped at :data:`MAX_WAIT_SLICE`) run out.  A
+        waiter blocked when the daemon starts stopping is released at once;
+        one arriving during the shutdown drain just waits out its slice.
+        """
+        slice_seconds = float(request.get("slice", MAX_WAIT_SLICE))
+        if math.isnan(slice_seconds):  # JSON allows NaN; it would never expire
+            raise ServiceError("wait slice must be a number of seconds, not NaN")
+        deadline = time.monotonic() + min(slice_seconds, MAX_WAIT_SLICE)
+        seen = request.get("seen")
+        seen = None if seen is None else (str(seen[0]), int(seen[1]))
+        with self._lock:
+            job = self._find_job(request["job_id"])
+            stopping = self._stop.is_set()
+            while not job.terminal and self._stop.is_set() == stopping:
+                if seen is not None and (job.state, job.counts["done"]) != seen:
+                    break
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._changed.wait(remaining)
+            return job.summary()
+
     def _op_jobs(self, request: dict) -> dict:
         with self._lock:
             ordered = sorted(self._jobs.values(), key=lambda job: job.created)
@@ -536,6 +610,7 @@ class Daemon:
             job.state = J.CANCELLED
             job.finished = time.time()
             self.store.save(job)
+            self._changed.notify_all()
             return {"job_id": job.job_id, "state": job.state, "changed": True,
                     **job.counts}
 
@@ -547,6 +622,8 @@ class Daemon:
         with self._lock:
             self._touch_worker(worker_id, request.get("kind", "remote"))
             if self._stop.is_set():
+                self._told_shutdown.add(worker_id)
+                self._changed.notify_all()  # the shutdown drain counts these
                 return {"shutdown": True}
             chunk = self._pop_chunk(worker_id)
             if chunk is None:
@@ -816,6 +893,7 @@ class Daemon:
                 job.state = J.RUNNING
                 job.started = job.started or time.time()
                 self.store.save(job)
+                self._changed.notify_all()
             return chunk
         return None
 
@@ -890,6 +968,7 @@ class Daemon:
             if not job.pending_indices() and not self._job_has_leases(job.job_id):
                 self._finalize(job)
             self.store.save(job)
+            self._changed.notify_all()
             return {"applied": applied, "discarded": False}
 
     def _job_has_leases(self, job_id: str) -> bool:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -45,9 +47,30 @@ class TestCachePutDegradation:
         # sidecar) did not — readers must see a recoverable miss.
         assert npz.exists() and not sidecar.exists()
         assert cache.get(KEY, MISS) is MISS
-        assert cache.stats()["orphans_swept"] == 1
+        assert cache.clear() == 1
         assert not npz.exists()
         cache.put_encoded(KEY, meta, arrays)
+        np.testing.assert_array_equal(cache.get(KEY), np.arange(8.0))
+
+    def test_stats_during_a_put_never_loses_the_entry(self, tmp_path):
+        # ``stats`` runs while a put sits between its array write and its
+        # sidecar write: it must not unlink the in-flight npz as an orphan.
+        cache = ResultCache(tmp_path)
+        meta, arrays = encode_result(np.arange(8.0))
+        configure_faults("cache.put.torn:delay=0.3@n=1")
+        writer = threading.Thread(
+            target=cache.put_encoded, args=(KEY, meta, arrays), daemon=True
+        )
+        writer.start()
+        _, npz = cache._paths(KEY)
+        deadline = time.monotonic() + 5.0
+        while not npz.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert npz.exists() and writer.is_alive()  # mid-put
+        cache.stats()
+        writer.join(timeout=5.0)
+        assert not writer.is_alive()
+        assert KEY in cache
         np.testing.assert_array_equal(cache.get(KEY), np.arange(8.0))
 
     def test_failed_put_cleans_its_temp_files(self, tmp_path):

@@ -193,18 +193,21 @@ class TestRemovalHygiene:
         assert order == [".npz", ".json"]
         assert not npz.exists() and not sidecar.exists()
 
-    def test_stats_sweeps_orphan_npz(self, cache):
+    def test_clear_sweeps_orphan_npz_that_stats_leaves(self, cache):
         cache.put(key_of(1), np.zeros(8))
         sidecar, npz = cache._paths(key_of(1))
         sidecar.unlink()  # simulate a crash that left a keyless npz behind
         stats = cache.stats()
-        assert stats["orphans_swept"] == 1
-        assert stats["entries"] == 0
+        assert stats["entries"] == 0 and stats["total_bytes"] == 0
+        assert npz.exists()  # stats is read-only
+        assert cache.clear() == 1
         assert not npz.exists()
 
     def test_stats_leaves_paired_entries_alone(self, cache):
         cache.put(key_of(1), np.zeros(8))
-        assert cache.stats()["orphans_swept"] == 0
+        before = sorted(cache.directory.rglob("*"))
+        assert cache.stats()["entries"] == 1
+        assert sorted(cache.directory.rglob("*")) == before
         assert key_of(1) in cache
 
     def test_clear_counts_orphans(self, cache):

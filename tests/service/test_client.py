@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.exceptions import SpecError
+from repro.exceptions import ExecutionError, SpecError
 from repro.runtime import RunSpec, SerialExecutor, Session, SweepSpec
 from repro.service.client import ServiceClient
-from repro.service.worker import run_worker
+from repro.service.worker import DEFAULT_RECONNECT_WINDOW, run_worker
 
 from _service_helpers import make_problem, wait_until
 
@@ -140,6 +141,49 @@ class TestClientApi:
         client.submit(RunSpec(problem=make_problem(), backend="resource"))
         assert len(client.jobs()) == 1
 
+    def test_run_blocks_in_the_daemon_instead_of_polling_status(
+        self, make_daemon, monkeypatch
+    ):
+        daemon = make_daemon(local_workers=1)
+        client = ServiceClient(daemon.socket_path)
+        ops = []
+        send = client._request
+
+        def counting(op, **fields):
+            ops.append(op)
+            return send(op, **fields)
+
+        monkeypatch.setattr(client, "_request", counting)
+        record = Session(cache=False, executor=client).run(
+            make_problem(), backend="statevector"
+        )
+        assert record.ok
+        assert "status" not in ops
+        assert 1 <= ops.count("wait") <= 2
+
+    def test_progress_wait_sends_the_observed_counts(self, make_daemon, monkeypatch):
+        daemon = make_daemon(local_workers=0)
+        client = ServiceClient(daemon.socket_path)
+        ack = client.submit(SweepSpec(problem=make_problem(), steps=(1, 2)))
+        sent = []
+        send = client._request
+
+        def recording(op, **fields):
+            sent.append(fields)
+            return send(op, **fields)
+
+        monkeypatch.setattr(client, "_request", recording)
+        with pytest.raises(ExecutionError, match="timed out"):
+            client.wait(ack["job_id"], timeout=1.2, progress=lambda d, t: None)
+        # One slice blocks at most 1 s, so the 1.2 s wait took two requests.
+        assert len(sent) >= 2 and "seen" not in sent[0]
+        assert all(fields["seen"] == ["queued", 0] for fields in sent[1:])
+        assert all(fields["slice"] <= 1.0 for fields in sent)
+        sent.clear()
+        with pytest.raises(ExecutionError, match="timed out"):
+            client.wait(ack["job_id"], timeout=0.3)
+        assert sent and all("seen" not in fields for fields in sent)
+
     def test_shutdown_lets_workers_drain_and_exit(self, make_daemon):
         daemon = make_daemon(local_workers=0)
         client = ServiceClient(daemon.socket_path)
@@ -150,9 +194,14 @@ class TestClientApi:
             daemon=True,
         )
         worker.start()
+        wait_until(lambda: client.workers())
         client.shutdown_daemon()
         wait_until(lambda: not daemon.running)
+        start = time.monotonic()
         daemon.shutdown()
         worker.join(timeout=10.0)
         assert not worker.is_alive()
         assert not daemon.socket_path.exists()
+        # The drain told the idle worker "shutdown": it did not ride out its
+        # reconnect window against a missing socket.
+        assert time.monotonic() - start < DEFAULT_RECONNECT_WINDOW / 2

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.runtime import RunSpec, SweepSpec
@@ -250,6 +253,136 @@ class TestRestartRecovery:
         assert status["succeeded"] == spec.num_points
         stats = second.handle({"op": "stats"})
         assert stats["points"]["executed"] == spec.num_points - len(outcomes)
+
+
+class _Waiter:
+    """A ``wait`` request blocking in ``Daemon.handle`` on its own thread."""
+
+    def __init__(self, daemon, request):
+        self.response = None
+        self.returned_at = None
+        self._thread = threading.Thread(
+            target=self._run, args=(daemon, request), daemon=True
+        )
+        self._thread.start()
+
+    def _run(self, daemon, request):
+        self.response = daemon.handle({"op": "wait", **request})
+        self.returned_at = time.monotonic()
+
+    def join(self, timeout):
+        self._thread.join(timeout=timeout)
+        assert not self._thread.is_alive(), "wait never returned"
+        return self.response
+
+
+class TestWaitOp:
+    def test_terminal_job_returns_at_once(self, make_daemon):
+        daemon = make_daemon(local_workers=0)
+        ack = submit(daemon, sweep_spec())
+        daemon.handle({"op": "cancel", "job_id": ack["job_id"]})
+        start = time.monotonic()
+        status = daemon.handle({"op": "wait", "job_id": ack["job_id"], "slice": 5.0})
+        assert time.monotonic() - start < 0.5
+        assert status["ok"] and status["state"] == "cancelled"
+        assert status["job_id"] == ack["job_id"] and status["total"] == 4
+
+    def test_returns_when_done_moves_past_seen(self, make_daemon):
+        daemon = make_daemon(local_workers=0, chunk_size=2)
+        ack = submit(daemon, sweep_spec())
+        claim = daemon.handle({"op": "claim", "worker": "w"})
+        outcomes = [outcome_to_wire(execute_spec(p)) for p in claim["payloads"]]
+        waiter = _Waiter(daemon, {
+            "job_id": ack["job_id"], "seen": ["running", 0], "slice": 5.0,
+        })
+        time.sleep(0.1)
+        assert waiter.response is None  # (running, 0) is what it has seen
+        daemon.handle({
+            "op": "complete", "worker": "w",
+            "chunk_id": claim["chunk_id"], "outcomes": outcomes,
+        })
+        completed = time.monotonic()
+        status = waiter.join(timeout=2.0)
+        assert status["state"] == "running" and status["done"] == 2
+        assert waiter.returned_at - completed < 0.5
+
+    def test_unchanged_job_returns_when_the_slice_ends(self, make_daemon):
+        daemon = make_daemon(local_workers=0)
+        ack = submit(daemon, sweep_spec())
+        for seen in ({"seen": ["queued", 0]}, {}):
+            start = time.monotonic()
+            status = daemon.handle(
+                {"op": "wait", "job_id": ack["job_id"], "slice": 0.3, **seen}
+            )
+            assert 0.25 <= time.monotonic() - start < 2.0
+            assert status["ok"] and status["state"] == "queued"
+            assert status["done"] == 0
+
+    def test_daemon_caps_the_slice(self, make_daemon, monkeypatch):
+        from repro.service import daemon as daemon_module
+
+        monkeypatch.setattr(daemon_module, "MAX_WAIT_SLICE", 0.2)
+        daemon = make_daemon(local_workers=0)
+        ack = submit(daemon, sweep_spec())
+        start = time.monotonic()
+        daemon.handle({"op": "wait", "job_id": ack["job_id"], "slice": 60.0})
+        assert time.monotonic() - start < 2.0
+
+    def test_cancel_from_another_thread_wakes_the_waiter(self, make_daemon):
+        daemon = make_daemon(local_workers=0)
+        ack = submit(daemon, sweep_spec())
+        waiter = _Waiter(daemon, {"job_id": ack["job_id"], "slice": 5.0})
+        time.sleep(0.1)
+        daemon.handle({"op": "cancel", "job_id": ack["job_id"]})
+        cancelled = time.monotonic()
+        assert waiter.join(timeout=2.0)["state"] == "cancelled"
+        assert waiter.returned_at - cancelled < 0.5
+
+    def test_request_stop_wakes_the_waiter(self, make_daemon):
+        daemon = make_daemon(local_workers=0)
+        ack = submit(daemon, sweep_spec())
+        waiter = _Waiter(daemon, {"job_id": ack["job_id"], "slice": 5.0})
+        time.sleep(0.1)
+        daemon.request_stop()
+        stopped = time.monotonic()
+        status = waiter.join(timeout=2.0)
+        assert status["ok"] and status["state"] == "queued"
+        assert waiter.returned_at - stopped < 0.5
+
+    def test_unknown_job_or_nan_slice_is_an_error_frame(self, make_daemon):
+        daemon = make_daemon(local_workers=0)
+        missing = daemon.handle({"op": "wait", "job_id": "feedbead", "slice": 5.0})
+        assert not missing["ok"] and "no such job" in missing["error"]["message"]
+        ack = submit(daemon, sweep_spec())
+        nan = daemon.handle(
+            {"op": "wait", "job_id": ack["job_id"], "slice": float("nan")}
+        )
+        assert not nan["ok"] and "NaN" in nan["error"]["message"]
+
+
+class TestShutdownDrain:
+    def test_a_silent_worker_holds_the_drain_at_most_its_cap(self, make_daemon):
+        from repro.service.daemon import SHUTDOWN_DRAIN_SECONDS
+
+        daemon = make_daemon(local_workers=0)
+        daemon.handle({"op": "claim", "worker": "gone"})  # never claims again
+        start = time.monotonic()
+        daemon.shutdown()
+        assert time.monotonic() - start < SHUTDOWN_DRAIN_SECONDS + 1.0
+        assert not daemon.socket_path.exists()
+
+    def test_stopping_daemon_keeps_answering_claims_until_shutdown(
+        self, make_daemon
+    ):
+        from repro.service.protocol import request
+
+        daemon = make_daemon(local_workers=0)
+        daemon.request_stop()
+        time.sleep(0.3)  # longer than one accept-loop timeout
+        answer = request(daemon.socket_path, "claim", worker="late", timeout=5.0)
+        assert answer["shutdown"]
+        daemon.shutdown()
+        assert not daemon.socket_path.exists()
 
 
 class TestPriorityAndOps:
