@@ -119,8 +119,10 @@ class KernelBackend:
     with the vectorized Pauli-rotation kernels of
     :mod:`repro.circuits.pauli_kernels` — no circuit is built, no gate matrix
     materialized, one O(2^n) pass per Trotter term.  This is the default dense
-    engine for evolution-kind programs; when no plan exists (block encodings,
-    MPF combinations, non-commuting direct fragments) the run falls back to
+    engine for evolution-kind programs; when no plan exists (a non-evolution
+    strategy such as a block encoding or an MPF combination, a complex
+    transition fragment under ``complex_mode="trotter_split"``, a fragment
+    with mixed X masks, or an oversized support table) the run falls back to
     the ``statevector`` backend transparently.
 
     ``initial_state`` additionally accepts a ``(2^n, batch)`` array, in which

@@ -30,14 +30,23 @@ Z-support (w small) and broadcast over the full register; diagonal fragments
 (``x == 0``) collapse to a single element-wise phase, and consecutive
 diagonal groups are merged into one table at bake time.
 
-Plans are built once and cached on the
-:class:`~repro.compile.program.CompiledProgram`, so Trotter steps,
-``run_many`` initial-state sweeps and error-curve points all reuse the same
-baked tables.
+Lowering is split in two.  Everything that depends on the Hamiltonian
+alone — each fragment's Pauli decomposition into ``(x, z, phase,
+coefficient)`` strings and its bake layout (factored sign mask, table
+shape, flip slices, the per-string ±1 sign vectors on the support) — is
+computed once and kept in a bounded module-level LRU keyed on the
+as-written term tuple, the strategy, the ``trotter_split`` flag, the table
+cap and the register width.  A new ``(time, steps, order)`` point only
+rescales angles (``theta = coefficient · fraction · dt``) and bakes the
+small ``cos``/``sin`` tables, once per distinct fragment visit.  The baked
+plan is then cached on the :class:`~repro.compile.program.CompiledProgram`,
+so the Trotter steps of one run and ``run_many`` initial-state sweeps
+replay the same tables.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -63,6 +72,14 @@ _MAX_MERGED_DIAGONAL_BITS = 18
 #: transition/number qubits; the common sign is applied at run time from the
 #: shared basis-index cache.
 _MAX_TABLE_BITS = 14
+
+#: Time-independent lowerings kept by :func:`_lowered_fragments`: a bounded
+#: LRU (hits move to the back, eviction pops the front), shared by every
+#: thread of the process under one lock.  An entry holds one ±1 sign vector
+#: on the support (2^w bytes) per Pauli string of the Hamiltonian.
+_LOWERING_CACHE: "dict[tuple, tuple[_Fragment, ...]]" = {}
+_LOWERING_CACHE_CAP = 16
+_LOWERING_LOCK = threading.Lock()
 
 
 class PlanLoweringError(CompileError):
@@ -103,6 +120,29 @@ class _PairOp(NamedTuple):
     sign_parity: "np.ndarray | None" = None
 
 
+class _Layout(NamedTuple):
+    """How one fragment's group bakes, fixed by its masks alone.
+
+    ``e(k) = (-1)^{parity(k & sign_mask)} · f(k restricted to the support)``
+    with ``f = Σ_j theta_j·phase_j·signs[j]``; ``sign_mask`` is nonzero only
+    when the full Z-support would overflow :data:`_MAX_TABLE_BITS` — the
+    :func:`_factor_z_masks` policy.
+    """
+
+    sign_mask: int
+    shape: tuple[int, ...]  # broadcast shape: 2 on support axes, 1 elsewhere
+    flip: tuple  # slice tuple realising ψ[k ^ x] as a strided view
+    signs: tuple[np.ndarray, ...]  # per string, int8 ±1 over the 2^w support patterns
+
+
+class _Fragment(NamedTuple):
+    """The time-independent lowering of one exponentiated fragment."""
+
+    strings: tuple[tuple[int, int, complex, float], ...]  # non-identity (x, z, phase, coeff)
+    identity: tuple[float, ...]  # coefficients of identity strings: a global phase
+    layout: "_Layout | None"  # None when every string is the identity
+
+
 def _parity_tensor(num_qubits: int, mask: int) -> np.ndarray:
     """``parity(k & mask)`` as a read-only boolean tensor of shape ``(2,)*n``."""
     from repro.circuits.pauli_kernels import basis_indices
@@ -115,6 +155,11 @@ def _parity_tensor(num_qubits: int, mask: int) -> np.ndarray:
     return tensor
 
 
+def _broadcast(layout: _Layout, table: np.ndarray) -> np.ndarray:
+    """Reshape a 2^w support table so it broadcasts over the register."""
+    return np.ascontiguousarray(table).reshape(layout.shape)
+
+
 def _factor_z_masks(z_masks) -> tuple[int, int]:
     """Factor a group's Z masks into ``(sign_mask, residual_union)``.
 
@@ -123,7 +168,7 @@ def _factor_z_masks(z_masks) -> tuple[int, int]:
     (``sign_mask == 0``); otherwise the AND of all masks — contained in every
     string, so its parity splits off exactly — becomes a run-time sign and the
     table lives on the residual union.  Used identically by the lowering-time
-    acceptance check and by the baking itself.
+    acceptance check and by the bake layout.
     """
     union = 0
     for z_mask in z_masks:
@@ -147,7 +192,8 @@ class EvolutionPlan:
     fragment of one (order-expanded) step; :meth:`evolve` replays the baked
     executor ops ``steps`` times and applies the accumulated identity-string
     phase once at the end.  Reusable across initial states, including batched
-    ones.
+    ones.  Built and baked by :func:`lower_problem`, which pairs each group
+    with its fragment's cached bake layout.
     """
 
     num_qubits: int
@@ -157,6 +203,8 @@ class EvolutionPlan:
     #: analogue of ``QuantumCircuit.global_phase``).
     step_phase: float = 0.0
     strategy: str = "direct"
+    #: The cached :class:`_Layout` of each group of ``step_groups``.
+    _layouts: tuple = field(default=(), repr=False, compare=False)
     _ops: "list | None" = field(default=None, repr=False, compare=False)
 
     @property
@@ -171,54 +219,31 @@ class EvolutionPlan:
 
     # ----------------------------------------------------------------- baking
 
-    def _angle_table(self, group: tuple[MaskRotation, ...]):
-        """Factor the group's angle function ``e(k)`` into sign × small table.
-
-        Returns ``(sign_mask, axes, f)`` with
-        ``e(k) = (-1)^{parity(k & sign_mask)} · f(k restricted to axes)``.
-        ``sign_mask`` is nonzero only when the full Z-support would overflow
-        :data:`_MAX_TABLE_BITS` — the :func:`_factor_z_masks` policy.
-        """
-        n = self.num_qubits
-        sign_mask, union = _factor_z_masks([rotation.z_mask for rotation in group])
-        axes = tuple(q for q in range(n) if (union >> (n - 1 - q)) & 1)
-        width = len(axes)
-        patterns = np.arange(1 << width)
-        f = np.zeros(1 << width, dtype=complex)
-        for rotation in group:
-            residual = rotation.z_mask & ~sign_mask
-            compressed = 0
-            for position, qubit in enumerate(axes):
-                if (residual >> (n - 1 - qubit)) & 1:
-                    compressed |= 1 << (width - 1 - position)
-            signs = np.where(_parity_of(patterns & compressed), -1.0, 1.0)
-            f = f + (rotation.theta * rotation.phase) * signs
-        return sign_mask, axes, f
-
-    def _broadcast(self, axes: tuple[int, ...], table: np.ndarray) -> np.ndarray:
-        """Reshape a 2^w support table so it broadcasts over the register."""
-        shape = tuple(2 if q in axes else 1 for q in range(self.num_qubits))
-        return np.ascontiguousarray(table).reshape(shape)
-
-    def _bake_group(self, group: tuple[MaskRotation, ...], parities: dict):
+    def _bake_group(
+        self, group: tuple[MaskRotation, ...], layout: _Layout, parities: dict
+    ):
+        """The executor op of one group: its angle table ``f`` on the cached
+        layout, then the closed-form exponential tables."""
         n = self.num_qubits
         x_mask = group[0].x_mask
-        sign_mask, axes, f = self._angle_table(group)
+        sign_mask = layout.sign_mask
+        f = np.zeros(layout.signs[0].size, dtype=complex)
+        for rotation, signs in zip(group, layout.signs):
+            f = f + (rotation.theta * rotation.phase) * signs
         if sign_mask and sign_mask not in parities:
             parities[sign_mask] = _parity_tensor(n, sign_mask)
         sign_parity = parities.get(sign_mask) if sign_mask else None
-        identity_flip = (slice(None),) * n
         if x_mask == 0 and sign_mask == 0:
             # Diagonal fragment: exp(-i·f(k)) element-wise.  f is real here
             # (no Y factors without X), so this is a pure phase table.
-            return _DiagonalOp(self._broadcast(axes, np.exp(-1j * f.real)))
+            return _DiagonalOp(_broadcast(layout, np.exp(-1j * f.real)))
         if x_mask == 0:
             # Wide diagonal with a factored sign: exp(-i·s·f) = cos f − i·s·sin f,
             # which is a pair op whose "flip" is the identity.
             return _PairOp(
-                identity_flip,
-                self._broadcast(axes, np.cos(f.real)),
-                self._broadcast(axes, -1j * np.sin(f.real)),
+                layout.flip,
+                _broadcast(layout, np.cos(f.real)),
+                _broadcast(layout, -1j * np.sin(f.real)),
                 sign_mask,
                 sign_parity,
             )
@@ -227,14 +252,10 @@ class EvolutionPlan:
         with np.errstate(invalid="ignore", divide="ignore"):
             sinc = np.where(magnitude > 0.0, np.sin(magnitude) / magnitude, 0.0)
         table_b = -1j * f * sinc
-        flip = tuple(
-            slice(None, None, -1) if (x_mask >> (n - 1 - q)) & 1 else slice(None)
-            for q in range(n)
-        )
         return _PairOp(
-            flip,
-            self._broadcast(axes, table_a),
-            self._broadcast(axes, table_b),
+            layout.flip,
+            _broadcast(layout, table_a),
+            _broadcast(layout, table_b),
             sign_mask,
             sign_parity,
         )
@@ -242,7 +263,9 @@ class EvolutionPlan:
     def _baked_ops(self) -> list:
         """Executor ops of one step (built once, cached on the plan).
 
-        Diagonal groups are folded away wherever possible: a pending diagonal
+        Each distinct group is baked once: the mirrored visits of an order-2
+        (or Suzuki) step repeat a fragment with identical angles.  Diagonal
+        groups are folded away wherever possible: a pending diagonal
         phase table ``T`` followed by a pair op becomes ``A' = T·A`` and
         ``B'(k) = B(k)·T(k ^ x)`` (the flip of a broadcast table is just its
         slice-reversal, size-1 axes included), so runs of diagonal fragments
@@ -253,8 +276,11 @@ class EvolutionPlan:
             ops: list = []
             pending: np.ndarray | None = None  # accumulated diagonal table
             parities: dict = {}  # sign_mask -> parity tensor, deduped per plan
-            for group in self.step_groups:
-                op = self._bake_group(group, parities)
+            baked: dict = {}  # group -> its op, deduped per plan
+            for group, layout in zip(self.step_groups, self._layouts, strict=True):
+                op = baked.get(group)
+                if op is None:
+                    op = baked[group] = self._bake_group(group, layout, parities)
                 if isinstance(op, _DiagonalOp):
                     if pending is None:
                         pending = op.table
@@ -452,30 +478,78 @@ def _fragment_masks(pauli_operator) -> list[tuple[int, int, complex, float]]:
     return lowered
 
 
-def lower_problem(problem: "SimulationProblem", strategy: str) -> EvolutionPlan:
-    """Lower a problem's Trotter schedule for the given evolution strategy.
+def _layout(num_qubits: int, strings) -> _Layout:
+    """The bake layout of a group of strings sharing one X mask."""
+    n = num_qubits
+    sign_mask, union = _factor_z_masks([z_mask for _, z_mask, _, _ in strings])
+    axes = tuple(q for q in range(n) if (union >> (n - 1 - q)) & 1)
+    width = len(axes)
+    patterns = np.arange(1 << width)
+    signs = []
+    for _, z_mask, _, _ in strings:
+        residual = z_mask & ~sign_mask
+        compressed = 0
+        for position, qubit in enumerate(axes):
+            if (residual >> (n - 1 - qubit)) & 1:
+                compressed |= 1 << (width - 1 - position)
+        # int8 keeps an entry 8x smaller; the product with a complex angle
+        # casts it to the same (±1, 0) a float sign would give.
+        sign = np.where(_parity_of(patterns & compressed), -1, 1).astype(np.int8)
+        sign.setflags(write=False)  # shared by every plan of the Hamiltonian
+        signs.append(sign)
+    x_mask = strings[0][0]
+    return _Layout(
+        sign_mask,
+        tuple(2 if q in axes else 1 for q in range(n)),
+        tuple(
+            slice(None, None, -1) if (x_mask >> (n - 1 - q)) & 1 else slice(None)
+            for q in range(n)
+        ),
+        tuple(signs),
+    )
 
-    Raises :class:`PlanLoweringError` when the pair cannot be represented as a
-    mask plan: non-evolution strategies, direct fragments whose strings do not
-    share an X mask (impossible for SCB terms, checked defensively), or the
-    ``complex_mode="trotter_split"`` option paired with complex transition
-    coefficients (there the circuit intentionally carries a splitting error
-    the exact plan would not reproduce).
+
+def _fragment(num_qubits: int, entries) -> _Fragment:
+    """Split one fragment's ``(x, z, phase, coefficient)`` entries for the cache."""
+    strings = tuple(entry for entry in entries if entry[0] or entry[1])
+    return _Fragment(
+        strings,
+        tuple(coeff for x_mask, z_mask, _, coeff in entries if not (x_mask or z_mask)),
+        _layout(num_qubits, strings) if strings else None,
+    )
+
+
+def _lowered_fragments(
+    problem: "SimulationProblem", strategy: str
+) -> tuple[_Fragment, ...]:
+    """The time-independent lowering of the problem's Hamiltonian.
+
+    Served from :data:`_LOWERING_CACHE`, keyed on everything lowering and
+    baking read: the strategy, the ``trotter_split`` flag, the table cap,
+    the register width and the *as-written* term tuple.  Not
+    ``content_key()``: it sorts the terms, and term order is the order of
+    the Trotter product.  ``add_term`` changes the term tuple, so a mutated
+    Hamiltonian can never hit a stale entry.
     """
-    if strategy not in LOWERABLE_STRATEGIES:
-        raise PlanLoweringError(
-            f"strategy {strategy!r} does not lower to a mask plan "
-            f"(supported: {', '.join(LOWERABLE_STRATEGIES)})"
-        )
+    hamiltonian = problem.hamiltonian
+    split_mode = problem.options.complex_mode == "trotter_split"
+    key = (strategy, split_mode, _MAX_TABLE_BITS, hamiltonian.num_qubits,
+           hamiltonian.terms)
+    with _LOWERING_LOCK:
+        fragments = _LOWERING_CACHE.pop(key, None)
+        if fragments is not None:
+            _LOWERING_CACHE[key] = fragments  # re-insertion moves the hit to the back
+            return fragments
 
-    fragments: list[list[tuple[int, int, complex, float]]] = []
+    n = hamiltonian.num_qubits
     if strategy == "pauli":
         # One single-string group per Pauli term, in pauli_fragments() order.
-        for entry in _fragment_masks(problem.pauli_operator()):
-            fragments.append([entry])
+        fragments = tuple(
+            _fragment(n, [entry]) for entry in _fragment_masks(problem.pauli_operator())
+        )
     else:
-        split_mode = problem.options.complex_mode == "trotter_split"
-        for fragment in problem.hamiltonian.hermitian_fragments():
+        lowered = []
+        for fragment in hamiltonian.hermitian_fragments():
             term = fragment.term
             if (
                 split_mode
@@ -495,25 +569,58 @@ def lower_problem(problem: "SimulationProblem", strategy: str) -> EvolutionPlan:
                     "mixed X masks; not a single permutation-diagonal block"
                 )
             _check_table_width(entries, term.label)
-            fragments.append(entries)
+            lowered.append(_fragment(n, entries))
+        fragments = tuple(lowered)
 
+    with _LOWERING_LOCK:
+        while len(_LOWERING_CACHE) >= _LOWERING_CACHE_CAP:
+            _LOWERING_CACHE.pop(next(iter(_LOWERING_CACHE)))
+        _LOWERING_CACHE[key] = fragments
+    return fragments
+
+
+def lower_problem(problem: "SimulationProblem", strategy: str) -> EvolutionPlan:
+    """Lower a problem's Trotter schedule for the given evolution strategy.
+
+    Returns a baked plan: the Hamiltonian's time-independent lowering comes
+    from :func:`_lowered_fragments`, and only the angles and the small
+    support tables are computed here.
+
+    Raises :class:`PlanLoweringError` when the pair cannot be represented as a
+    mask plan: non-evolution strategies, direct fragments whose strings do not
+    share an X mask (impossible for SCB terms, checked defensively), a
+    fragment whose factored support table would exceed 2^``_MAX_TABLE_BITS``
+    entries, or the ``complex_mode="trotter_split"`` option paired with
+    complex transition coefficients (there the circuit intentionally carries
+    a splitting error the exact plan would not reproduce).
+    """
+    if strategy not in LOWERABLE_STRATEGIES:
+        raise PlanLoweringError(
+            f"strategy {strategy!r} does not lower to a mask plan "
+            f"(supported: {', '.join(LOWERABLE_STRATEGIES)})"
+        )
+    fragments = _lowered_fragments(problem, strategy)
     dt = problem.time / problem.steps
     groups: list[tuple[MaskRotation, ...]] = []
+    layouts: list[_Layout] = []
     step_phase = 0.0
     for index, fraction in _merged_schedule(len(fragments), problem.order):
-        group = []
-        for x_mask, z_mask, phase, coefficient in fragments[index]:
-            theta = coefficient * fraction * dt
-            if x_mask == 0 and z_mask == 0:
-                step_phase -= theta
-            else:
-                group.append(MaskRotation(x_mask, z_mask, phase, theta))
-        if group:
-            groups.append(tuple(group))
-    return EvolutionPlan(
+        fragment = fragments[index]
+        for coefficient in fragment.identity:
+            step_phase -= coefficient * fraction * dt
+        if fragment.strings:
+            groups.append(tuple(
+                MaskRotation(x_mask, z_mask, phase, coefficient * fraction * dt)
+                for x_mask, z_mask, phase, coefficient in fragment.strings
+            ))
+            layouts.append(fragment.layout)
+    plan = EvolutionPlan(
         num_qubits=problem.num_qubits,
         steps=problem.steps,
         step_groups=tuple(groups),
         step_phase=step_phase,
         strategy=strategy,
+        _layouts=tuple(layouts),
     )
+    plan._baked_ops()
+    return plan

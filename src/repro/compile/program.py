@@ -130,11 +130,14 @@ class CompiledProgram:
         """Cached mask-rotation plan of the Trotter schedule, or ``None``.
 
         Built once per program (like :attr:`execution_circuit`) and reused
-        across Trotter steps, ``run_many`` initial-state sweeps and error-curve
-        points.  ``None`` when the (problem, strategy) pair has no matrix-free
-        lowering — non-evolution strategies, or direct fragments whose Pauli
-        decompositions do not mutually commute — in which case the ``kernel``
-        backend falls back to the circuit path.
+        across Trotter steps and ``run_many`` initial-state sweeps.  The
+        ``plan`` build phase covers lowering *and* baking the executor tables,
+        so a later ``run`` only replays them.  ``None`` when the (problem,
+        strategy) pair has no matrix-free lowering — a non-evolution strategy
+        (block encodings, MPF combinations), a complex transition fragment
+        under ``complex_mode="trotter_split"``, a fragment whose strings have
+        mixed X masks, or a support table too large even after factoring —
+        in which case the ``kernel`` backend falls back to the circuit path.
         """
         if self._plan_unavailable:
             return None

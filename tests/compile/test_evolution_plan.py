@@ -4,11 +4,16 @@ Property suite for the term-level engine: random SCB Hamiltonians are lowered
 under both evolution strategies and every plan is replayed against the exact
 same circuit the strategy builds — full complex vectors compared, so global
 phases count, including the batch axis.  The refusal paths (non-evolution
-strategies, non-commuting direct fragments) and the per-program cache are
-covered as well.
+strategies, ``trotter_split`` complex fragments), the per-program cache and
+the per-Hamiltonian lowering cache are covered as well.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+import time as clock
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.compile.plan as plan_module
 from repro.circuits.statevector import Statevector
 from repro.compile.plan import (
     EvolutionPlan,
     PlanLoweringError,
     lower_problem,
 )
+from repro.operators.hamiltonian import Hamiltonian
 from repro.operators.scb_term import SCBTerm
 from repro.utils.linalg import random_statevector
 
@@ -202,9 +209,6 @@ class TestPlanObject:
         # Force the Jordan–Wigner factoring (common-Z sign + residual table)
         # onto the wide groups by shrinking the dense-table cap below the
         # Z-chain width (but not below the two-transition residual).
-        import repro.compile.plan as plan_module
-
-        monkeypatch.setattr(plan_module, "_MAX_TABLE_BITS", 3)
         problem = repro.SimulationProblem.from_labels(
             5,
             {"dZZZs": 0.6, "ZZZZI": 0.4, "nIIIn": 0.3},
@@ -212,6 +216,12 @@ class TestPlanObject:
             steps=2,
             order=2,
         )
+        # Lowered first under the default cap: the cached lowering of that
+        # cap must not be served once the cap shrinks.
+        for strategy in ("direct", "pauli"):
+            plan = lower_problem(problem, strategy)
+            assert not any(getattr(op, "sign_mask", 0) for op in plan._baked_ops())
+        monkeypatch.setattr(plan_module, "_MAX_TABLE_BITS", 3)
         for strategy in ("direct", "pauli"):
             program = repro.compile(problem, strategy)
             plan = program.evolution_plan()
@@ -239,3 +249,160 @@ class TestPlanObject:
         np.testing.assert_allclose(
             out[:, 0], circuit_reference(program, batch[:, 0]), atol=1e-10
         )
+
+    def test_kernel_run_after_plan_bakes_nothing(self, monkeypatch):
+        # The plan build phase covers lowering and baking; a kernel run only
+        # replays the baked tables, so the ledger's evolve phase is physics.
+        calls = []
+        bake = EvolutionPlan._bake_group
+
+        def counting(self, *args):
+            calls.append(1)
+            return bake(self, *args)
+
+        monkeypatch.setattr(EvolutionPlan, "_bake_group", counting)
+        program = repro.compile(random_problem(11, steps=2, order=2), "direct")
+        program.evolution_plan()
+        assert calls, "the plan build must bake"
+        calls.clear()
+        program.run(backend="kernel")
+        program.run(backend="kernel", initial_state=1)
+        assert calls == []
+
+
+def hubbard_like(order_of_terms=None) -> Hamiltonian:
+    """Non-commuting terms with transitions, numbers and identity parts."""
+    terms = [("sdI", 0.6), ("IsZ", 0.5 + 0.2j), ("nIn", 0.4), ("ZXI", -0.3)]
+    if order_of_terms is not None:
+        terms = [terms[i] for i in order_of_terms]
+    return Hamiltonian.from_labels(3, terms)
+
+
+class TestLoweringCache:
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        plan_module._LOWERING_CACHE.clear()
+        yield
+        plan_module._LOWERING_CACHE.clear()
+
+    def test_new_point_reuses_the_decomposition(self, monkeypatch):
+        problem = repro.SimulationProblem(hubbard_like(), 0.4, steps=1, order=1)
+        for strategy in ("direct", "pauli"):
+            lower_problem(problem, strategy)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a cached Hamiltonian was decomposed again")
+
+        monkeypatch.setattr(Hamiltonian, "hermitian_fragments", forbidden)
+        monkeypatch.setattr(Hamiltonian, "to_pauli", forbidden)
+        for strategy in ("direct", "pauli"):
+            for changes in ({"time": 0.9}, {"steps": 3}, {"order": 4}):
+                lower_problem(replace(problem, **changes), strategy)
+
+    def test_term_order_is_part_of_the_key(self):
+        forward = hubbard_like()
+        backward = hubbard_like([3, 2, 1, 0])
+        assert forward.content_key() == backward.content_key()
+        psi = random_statevector(3, np.random.default_rng(5))
+        for strategy in ("direct", "pauli"):
+            outputs = []
+            for hamiltonian in (forward, backward):
+                program = repro.compile(
+                    repro.SimulationProblem(hamiltonian, 0.8, steps=1), strategy
+                )
+                out = program.evolution_plan().evolve(psi)
+                np.testing.assert_allclose(
+                    out, circuit_reference(program, psi), atol=1e-10
+                )
+                outputs.append(out)
+            # A Trotter product of non-commuting fragments depends on order.
+            assert not np.allclose(outputs[0], outputs[1], atol=1e-6)
+
+    def test_add_term_reaches_the_next_lowering(self):
+        hamiltonian = hubbard_like()
+        problem = repro.SimulationProblem(hamiltonian, 0.5, steps=2)
+        before = lower_problem(problem, "direct")
+        hamiltonian.add_term(SCBTerm.from_label("XYd", 0.35))
+        after = lower_problem(problem, "direct")
+        assert len(after.step_groups) == len(before.step_groups) + 1
+        program = repro.compile(problem, "direct")
+        psi = random_statevector(3, np.random.default_rng(6))
+        np.testing.assert_allclose(
+            after.evolve(psi), circuit_reference(program, psi), atol=1e-10
+        )
+
+    def test_sweep_on_cache_hits_matches_circuit_and_cold_plans(self):
+        hamiltonian = hubbard_like()
+        rng = np.random.default_rng(7)
+        batch = np.column_stack([random_statevector(3, rng) for _ in range(2)])
+        points = [
+            (strategy, steps, time, order)
+            for strategy in ("direct", "pauli")
+            for steps in (1, 2, 4)
+            for time in (0.3, 1.1)
+            for order in (1, 2, 4)
+        ]
+        warm = []
+        for strategy, steps, time, order in points:
+            problem = repro.SimulationProblem(hamiltonian, time, steps=steps, order=order)
+            program = repro.compile(problem, strategy)
+            out = program.evolution_plan().evolve(batch)
+            np.testing.assert_allclose(
+                out[:, 0], circuit_reference(program, batch[:, 0]), atol=1e-10
+            )
+            warm.append(out)
+        assert len(plan_module._LOWERING_CACHE) == 2  # one entry per strategy
+        for (strategy, steps, time, order), out in zip(points, warm):
+            plan_module._LOWERING_CACHE.clear()
+            problem = repro.SimulationProblem(hamiltonian, time, steps=steps, order=order)
+            assert np.array_equal(lower_problem(problem, strategy).evolve(batch), out)
+
+    def test_concurrent_lowering_never_raises_and_holds_the_cap(self, monkeypatch):
+        # The daemon lowers from several worker threads at once.
+        monkeypatch.setattr(plan_module, "_LOWERING_CACHE_CAP", 2)
+        problems = [
+            repro.SimulationProblem(hubbard_like(order), 0.6, steps=2, order=2)
+            for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2])
+        ]
+        psi = random_statevector(3, np.random.default_rng(8))
+        expected = {
+            (index, strategy): lower_problem(problem, strategy).evolve(psi)
+            for index, problem in enumerate(problems)
+            for strategy in ("direct", "pauli")
+        }
+        errors: list = []
+        sizes: list = []
+        deadline = clock.monotonic() + 2.0
+
+        def lower_until_deadline(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                while clock.monotonic() < deadline:
+                    index = int(rng.integers(len(problems)))
+                    strategy = ("direct", "pauli")[int(rng.integers(2))]
+                    out = lower_problem(problems[index], strategy).evolve(psi)
+                    sizes.append(len(plan_module._LOWERING_CACHE))
+                    assert np.array_equal(out, expected[index, strategy])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=lower_until_deadline, args=(seed,))
+            for seed in range(4)
+        ]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so races show up
+        try:
+            for thread in threads:
+                thread.start()
+            while clock.monotonic() < deadline + 30 and any(
+                thread.is_alive() for thread in threads
+            ):
+                sizes.append(len(plan_module._LOWERING_CACHE))
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sizes and max(sizes) <= 2
