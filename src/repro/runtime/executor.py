@@ -1,17 +1,18 @@
-"""Pluggable fan-out: serial and process-pool execution of runtime tasks.
+"""Pluggable fan-out: serial and process-pool execution of run payloads.
 
-An executor is anything with ``map(fn, items, progress=None) -> list``
-preserving item order.  :class:`SerialExecutor` runs in-process;
-:class:`ProcessExecutor` shards the items into chunks across a
-``concurrent.futures`` process pool.  Both report progress through an
-optional ``progress(done, total)`` callback as results land.
+An executor is anything with ``map_specs(payloads, progress=None) -> list``:
+it runs canonical :class:`~repro.runtime.spec.RunSpec` dicts and returns one
+outcome dict per payload, in payload order.  :class:`SerialExecutor` runs
+each payload in-process through :func:`execute_spec` (the bit-exactness
+oracle); :class:`ProcessExecutor` plan-batches the payloads and shards them
+across a ``concurrent.futures`` process pool.  Both report progress through
+an optional ``progress(done, total)`` callback as results land.
 
 The worker entry point :func:`execute_spec` is deliberately *total*: a grid
 point that raises records its exception (type, message, full traceback) in
 its outcome dict instead of poisoning the pool, so one diverging point never
-kills a thousand-point sweep.  Tasks travel as canonical
-:class:`~repro.runtime.spec.RunSpec` dicts — plain JSON-able payloads — so
-the pool never depends on pickling library objects across versions.
+kills a thousand-point sweep.  Payloads are plain JSON-able dicts, so the
+pool never depends on pickling library objects across versions.
 """
 
 from __future__ import annotations
@@ -86,6 +87,39 @@ def execute_spec(payload: dict) -> dict:
     return outcome
 
 
+def _ledgered_run(spec, evolve: "Callable[[Any], list]") -> "tuple[list, dict]":
+    """Compile, evolve and encode; returns ``(meta, arrays)`` pairs and phase seconds.
+
+    ``evolve(program)`` returns one result value per point.  The program
+    builds its circuit/plan lazily inside it, so the run-time split comes from
+    diffing its build-timing ledger (see CompiledProgram.build_timings).
+    """
+    from repro.runtime.results import encode_result
+
+    with span("execute.compile", strategy=spec.strategy):
+        compile_start = time.perf_counter()
+        program = _memoized_program(spec.problem, spec.strategy)
+        compile_seconds = time.perf_counter() - compile_start
+    built_before = program.build_seconds
+    plan_before = program.build_timings.get("plan", 0.0)
+    with span("execute.evolve", backend=spec.backend):
+        run_start = time.perf_counter()
+        values = evolve(program)
+        run_seconds = time.perf_counter() - run_start
+    built_delta = program.build_seconds - built_before
+    plan_delta = program.build_timings.get("plan", 0.0) - plan_before
+    with span("execute.encode"):
+        encode_start = time.perf_counter()
+        encoded = [encode_result(value) for value in values]
+        encode_seconds = time.perf_counter() - encode_start
+    return encoded, {
+        "compile": compile_seconds + max(0.0, built_delta - plan_delta),
+        "plan": plan_delta,
+        "evolve": max(0.0, run_seconds - built_delta),
+        "encode": encode_seconds,
+    }
+
+
 def _execute_spec_inner(payload: dict) -> dict:
     start = time.perf_counter()
     try:
@@ -93,40 +127,19 @@ def _execute_spec_inner(payload: dict) -> dict:
         # failure (the normal contract); delay simulates a hung point and
         # kill is uncatchable by design.
         fault_point("worker.execute")
-        from repro.runtime.results import encode_result
         from repro.runtime.spec import RunSpec
 
         spec = RunSpec.from_dict(payload)
-        with span("execute.compile", strategy=spec.strategy):
-            compile_start = time.perf_counter()
-            program = _memoized_program(spec.problem, spec.strategy)
-            compile_seconds = time.perf_counter() - compile_start
-        # The program builds its circuit/plan lazily *inside* run(), so the
-        # run-time split is recovered by diffing the program's build-timing
-        # ledger around the call (see CompiledProgram.build_timings).
-        built_before = program.build_seconds
-        plan_before = program.build_timings.get("plan", 0.0)
-        with span("execute.evolve", backend=spec.backend):
-            run_start = time.perf_counter()
-            value = program.run(backend=spec.backend, **spec.run_kwargs)
-            run_seconds = time.perf_counter() - run_start
-        built_delta = program.build_seconds - built_before
-        plan_delta = program.build_timings.get("plan", 0.0) - plan_before
-        with span("execute.encode"):
-            encode_start = time.perf_counter()
-            meta, arrays = encode_result(value)
-            encode_seconds = time.perf_counter() - encode_start
+        [(meta, arrays)], timings = _ledgered_run(
+            spec,
+            lambda program: [program.run(backend=spec.backend, **spec.run_kwargs)],
+        )
         return {
             "ok": True,
             "result": meta,
             "arrays": arrays,
             "wall_time": time.perf_counter() - start,
-            "timings": {
-                "compile": compile_seconds + max(0.0, built_delta - plan_delta),
-                "plan": plan_delta,
-                "evolve": max(0.0, run_seconds - built_delta),
-                "encode": encode_seconds,
-            },
+            "timings": timings,
         }
     except Exception as exc:  # noqa: BLE001 - failure capture is the contract
         return {
@@ -138,26 +151,6 @@ def _execute_spec_inner(payload: dict) -> dict:
             },
             "wall_time": time.perf_counter() - start,
         }
-
-
-def _run_chunk(
-    fn: Callable[[Any], Any], items: list, progress_queue=None
-) -> list:
-    """Apply ``fn`` to one chunk inside a worker (top level: must pickle).
-
-    When the parent passed a progress queue, one count is enqueued per
-    finished item so long chunks report per-point completion instead of
-    going silent until the whole chunk returns.
-    """
-    results = []
-    for item in items:
-        results.append(fn(item))
-        if progress_queue is not None:
-            try:
-                progress_queue.put_nowait(1)
-            except Exception:  # noqa: BLE001 - progress must never kill work
-                progress_queue = None
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +271,16 @@ def execute_spec_batch(payloads: "Sequence[dict]") -> list[dict]:
         # Inside the try: an injected raise drops the group to the per-point
         # fallback (where each point hits its own fault/capture path).
         fault_point("worker.execute")
-        from repro.runtime.results import encode_result
         from repro.runtime.spec import RunSpec
+
+        def fused_evolution(program) -> list:
+            # Resolved per call, not through a module-level table: tests
+            # monkeypatch these kernels.
+            if spec0.backend == "kernel":
+                return _batched_kernel(spec0, program, payloads)
+            if spec0.backend == "sampling":
+                return _batched_sampling(spec0, program, payloads)
+            raise _Unbatchable(f"backend {spec0.backend!r} has no batch axis")
 
         with span(
             "execute.batch",
@@ -287,37 +288,9 @@ def execute_spec_batch(payloads: "Sequence[dict]") -> list[dict]:
             points=n_points,
         ):
             spec0 = RunSpec.from_dict(payloads[0])
-            with span("execute.compile", strategy=spec0.strategy):
-                compile_start = time.perf_counter()
-                program = _memoized_program(spec0.problem, spec0.strategy)
-                compile_seconds = time.perf_counter() - compile_start
-            built_before = program.build_seconds
-            plan_before = program.build_timings.get("plan", 0.0)
-            with span("execute.evolve", backend=spec0.backend):
-                run_start = time.perf_counter()
-                if spec0.backend == "kernel":
-                    values = _batched_kernel(spec0, program, payloads)
-                elif spec0.backend == "sampling":
-                    values = _batched_sampling(spec0, program, payloads)
-                else:
-                    raise _Unbatchable(
-                        f"backend {spec0.backend!r} has no batch axis"
-                    )
-                run_seconds = time.perf_counter() - run_start
-            built_delta = program.build_seconds - built_before
-            plan_delta = program.build_timings.get("plan", 0.0) - plan_before
-            with span("execute.encode"):
-                encode_start = time.perf_counter()
-                encoded = [encode_result(value) for value in values]
-                encode_seconds = time.perf_counter() - encode_start
+            encoded, totals = _ledgered_run(spec0, fused_evolution)
         per_point = (time.perf_counter() - start) / n_points
-        timings = {
-            "compile": (compile_seconds + max(0.0, built_delta - plan_delta))
-            / n_points,
-            "plan": plan_delta / n_points,
-            "evolve": max(0.0, run_seconds - built_delta) / n_points,
-            "encode": encode_seconds / n_points,
-        }
+        timings = {phase: seconds / n_points for phase, seconds in totals.items()}
         metrics.incr("batch.points_fused", n_points)
         return [
             {
@@ -391,25 +364,33 @@ def _worker_init(shm_prefix: "str | None", blas_threads: int) -> None:
 
 @runtime_checkable
 class Executor(Protocol):
-    """What the session requires of an execution engine."""
+    """What the session requires of an execution engine: run payloads."""
 
-    def map(
+    def map_specs(
         self,
-        fn: Callable[[Any], Any],
-        items: Sequence,
+        payloads: Sequence[dict],
         *,
         progress: Callable[[int, int], None] | None = None,
-    ) -> list:
+    ) -> list[dict]:
         ...
 
 
 class SerialExecutor:
-    """In-process execution, one item at a time (the zero-dependency default)."""
+    """In-process execution, one payload at a time (the zero-dependency default).
+
+    Every payload runs alone through :func:`execute_spec`, never fused: this
+    is the bit-exactness oracle the batched, pooled and daemon paths are
+    differential-tested against.
+    """
 
     name = "serial"
     n_workers = 1
 
+    def map_specs(self, payloads, *, progress=None) -> list[dict]:
+        return self.map(execute_spec, payloads, progress=progress)
+
     def map(self, fn, items, *, progress=None) -> list:
+        """``[fn(item) for item in items]``, reporting progress per item."""
         items = list(items)
         results = []
         for index, item in enumerate(items):
@@ -428,9 +409,8 @@ class ProcessExecutor:
     Every pool worker starts through an initializer that pins BLAS/OpenMP
     threading to ``blas_threads_per_worker`` (default 1), so a CPU-count
     pool no longer oversubscribes the box with ``n_workers × N`` BLAS
-    threads.  Canonical run payloads dispatched through :meth:`map_specs`
-    additionally get plan-batched execution and shared-memory result
-    transport (see :mod:`repro.runtime.shm`).
+    threads.  :meth:`map_specs` plan-batches the payloads and returns large
+    result arrays through shared memory (see :mod:`repro.runtime.shm`).
 
     Parameters
     ----------
@@ -438,7 +418,7 @@ class ProcessExecutor:
         Pool size (default: the machine's CPU count — safe now that each
         worker's BLAS is capped).
     chunk_size:
-        Items per submitted task.  Defaults to ``ceil(n_items / (4 ·
+        Points per submitted task.  Defaults to ``ceil(n_points / (4 ·
         n_workers))`` — small enough to balance load, large enough to
         amortize per-task pickling.
     mp_context:
@@ -519,77 +499,6 @@ class ProcessExecutor:
             return self.chunk_size
         return max(1, math.ceil(n_items / (4 * self.n_workers)))
 
-    def map(self, fn, items, *, progress=None) -> list:
-        items = list(items)
-        if not items:
-            return []
-        # A one-item workload (or a one-worker pool) gains nothing from
-        # process startup; run it in place with identical semantics.
-        if self.n_workers == 1 or len(items) == 1:
-            return SerialExecutor().map(fn, items, progress=progress)
-        import concurrent.futures
-        import multiprocessing
-        import pickle
-
-        # Fail fast with a clear name: a lambda/closure surfaces here, not as
-        # a raw PicklingError from deep inside the pool machinery.
-        try:
-            pickle.dumps(fn)
-        except Exception as exc:
-            raise RuntimeError(
-                f"ProcessExecutor cannot pickle the callable "
-                f"{getattr(fn, '__qualname__', fn)!r} into worker processes; "
-                f"use a module-level function (or SerialExecutor)"
-            ) from exc
-
-        chunk = self._resolve_chunk(len(items))
-        chunks = [
-            (start, items[start : start + chunk])
-            for start in range(0, len(items), chunk)
-        ]
-        results: list = [None] * len(items)
-        context = (
-            multiprocessing.get_context(self.mp_context)
-            if self.mp_context is not None
-            else None
-        )
-        manager, progress_queue, drain = self._progress_channel(
-            progress, len(items)
-        )
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.n_workers, len(chunks)),
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=(None, self.blas_threads_per_worker),
-            ) as pool:
-                futures = {
-                    pool.submit(_run_chunk, fn, chunk_items, progress_queue): start
-                    for start, chunk_items in chunks
-                }
-                for future, start in self._completed(futures, drain):
-                    try:
-                        chunk_results = future.result()
-                    except (pickle.PicklingError, TypeError, AttributeError) as exc:
-                        # Unpicklable *items* surface on result() — as
-                        # PicklingError, or as TypeError/AttributeError from the
-                        # forking pickler.  Re-raise with the offending chunk
-                        # named instead of a bare pool error; anything unrelated
-                        # propagates untouched.
-                        if not isinstance(exc, pickle.PicklingError) and "pickle" not in str(exc):
-                            raise
-                        raise RuntimeError(
-                            f"ProcessExecutor could not pickle items "
-                            f"[{start}:{start + chunk}] for "
-                            f"{getattr(fn, '__qualname__', fn)!r}: {exc}"
-                        ) from exc
-                    results[start : start + len(chunk_results)] = chunk_results
-            drain(final=True)
-        finally:
-            if manager is not None:
-                manager.shutdown()
-        return results
-
     # ------------------------------------------------------ progress plumbing
 
     def _progress_channel(self, progress, total: int, *, force: bool = False):
@@ -631,28 +540,7 @@ class ProcessExecutor:
 
         return manager, queue, drain
 
-    @staticmethod
-    def _completed(futures: dict, drain):
-        """Yield ``(future, key)`` as futures finish, draining progress between.
-
-        The 50 ms poll keeps per-point progress flowing while chunks are
-        still running — ``as_completed`` alone would sit silent until a whole
-        chunk landed.
-        """
-        import concurrent.futures
-
-        pending = set(futures)
-        while pending:
-            finished, pending = concurrent.futures.wait(
-                pending,
-                timeout=0.05,
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-            drain()
-            for future in finished:
-                yield future, futures[future]
-
-    # ------------------------------------------------------- spec-aware path
+    # ---------------------------------------------------------------- fan-out
 
     def _chunk_groups(self, groups: list[list[int]], n_points: int) -> list[list[list[int]]]:
         """Pack batch groups into chunks of roughly ``chunk_size`` points.
@@ -682,9 +570,8 @@ class ProcessExecutor:
     ) -> list[dict]:
         """Execute canonical RunSpec payloads: batched, shm-transported.
 
-        The fast path behind :meth:`Session._execute`: payloads are gathered
-        into plan-batch groups (:func:`group_payloads`), the groups are
-        fanned out in group-preserving chunks, workers run
+        Payloads are gathered into plan-batch groups (:func:`group_payloads`),
+        the groups are fanned out in group-preserving chunks, workers run
         :func:`execute_spec_batch` and ship large arrays back as
         shared-memory segment references, and the parent reattaches them
         zero-copy.  Outcomes come back in payload order with the exact
@@ -707,16 +594,13 @@ class ProcessExecutor:
             return []
         groups = group_payloads(payloads)
         if self.n_workers == 1 or len(payloads) == 1:
-            # In-process: same batched semantics, no transport needed.
-            results: list = [None] * len(payloads)
-            done = 0
+            # In-process: same batched semantics, no transport needed.  The
+            # groups are consecutive, so their outcomes concatenate in order.
+            results: list = []
             for group in groups:
-                outcomes = execute_spec_batch([payloads[i] for i in group])
-                for index, outcome in zip(group, outcomes):
-                    results[index] = outcome
-                done += len(group)
+                results.extend(execute_spec_batch([payloads[i] for i in group]))
                 if progress is not None:
-                    progress(done, len(payloads))
+                    progress(len(results), len(payloads))
             return results
 
         import multiprocessing

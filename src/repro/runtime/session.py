@@ -36,7 +36,11 @@ from repro.telemetry import metrics, span
 from repro.utils.serialization import SerializationError, content_hash
 
 from repro.runtime.cache import MISS, ResultCache
-from repro.runtime.executor import Executor, execute_spec, resolve_executor
+from repro.runtime.executor import Executor, resolve_executor
+
+# execute_spec is unused here but must stay importable under this name, like
+# decode_result: perfbench/tracing.py patches both via inspect.getattr_static.
+from repro.runtime.executor import execute_spec  # noqa: F401
 from repro.runtime.results import RunRecord, ResultSet, decode_result
 from repro.runtime.spec import RunSpec, SweepSpec
 
@@ -65,8 +69,8 @@ class Session:
         :class:`~repro.runtime.cache.ResultCache` is used as given.
     executor:
         ``None`` (default) runs serially; an int ``n`` fans out over an
-        ``n``-worker process pool; any object with a conforming ``map``
-        is used as given.
+        ``n``-worker process pool; any object with a conforming
+        ``map_specs`` is used as given.
     progress:
         ``True`` prints a progress line to stderr; a callable receives
         ``(done, total)`` as results land; ``None``/``False`` is silent.
@@ -206,19 +210,7 @@ class Session:
             payloads = [
                 points[pending[key][0]][1].to_dict(canonical=True) for key in order
             ]
-            # Executors that understand canonical run payloads (the process
-            # pool, and anything else exposing ``map_specs``) get them raw:
-            # that is the seam where plan-batched chunking and shared-memory
-            # result transport live.  SerialExecutor deliberately stays on
-            # the per-point ``execute_spec`` path — it is the bit-exactness
-            # oracle the batched path is differential-tested against.
-            map_specs = getattr(self.executor, "map_specs", None)
-            if map_specs is not None:
-                outcomes = map_specs(payloads, progress=self._progress)
-            else:
-                outcomes = self.executor.map(
-                    execute_spec, payloads, progress=self._progress
-                )
+            outcomes = self.executor.map_specs(payloads, progress=self._progress)
             for key, outcome in zip(order, outcomes):
                 value = error = None
                 if outcome["ok"]:

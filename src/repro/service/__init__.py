@@ -6,7 +6,7 @@ and a compile memo; this package promotes that to every *client*.  A daemon
 :class:`~repro.runtime.cache.ResultCache` and compile memo, accepts
 run/sweep/batch jobs over a Unix socket (JSON-lines frames) into a priority
 queue with per-job state files, and fans chunks of grid points out to an
-in-daemon worker pool plus any number of external ``repro.service worker``
+in-daemon worker threads plus any number of external ``repro.service worker``
 processes — other containers or machines joining through a forwarded
 socket.  :class:`ServiceClient` implements the
 :class:`~repro.runtime.executor.Executor` protocol, so::

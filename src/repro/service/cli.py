@@ -11,7 +11,7 @@ Subcommands::
     python -m repro.service cancel   JOB
     python -m repro.service jobs
     python -m repro.service workers
-    python -m repro.service stats    [--json] [--watch SECONDS]
+    python -m repro.service stats    [--json]
     python -m repro.service top      [--interval S] [--count N] [--json]
     python -m repro.service health   [--json]
     python -m repro.service shutdown
@@ -291,23 +291,12 @@ def _render_stats(stats: dict) -> None:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    client = _client(args)
-    watch = getattr(args, "watch", None)
-    count = getattr(args, "count", None)
-    iteration = 0
-    while True:
-        stats = client.stats()
-        if args.json:
-            print(json.dumps(stats, indent=2))
-        else:
-            if watch is not None and iteration:
-                # Clear and re-home so the dashboard redraws in place.
-                print("\x1b[2J\x1b[H", end="")
-            _render_stats(stats)
-        iteration += 1
-        if watch is None or (count is not None and iteration >= count):
-            return 0
-        time.sleep(watch)
+    stats = _client(args).stats()
+    if args.json:
+        print(json.dumps(stats, indent=2))
+    else:
+        _render_stats(stats)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="queue/jobs/cache/worker metrics")
     stats.add_argument("--json", action="store_true")
-    stats.add_argument("--watch", type=float, default=None, metavar="SECONDS",
-                       help="re-poll and redraw every SECONDS until interrupted")
-    stats.add_argument("--count", type=int, default=None, metavar="N",
-                       help="with --watch: stop after N polls")
     _add_socket_flag(stats)
     stats.set_defaults(fn=_cmd_stats)
 

@@ -3,8 +3,8 @@
 :class:`ServiceClient` speaks the JSON-lines protocol to a running daemon.
 It exposes the job API (``submit``/``status``/``wait``/``result``/``cancel``/
 ``stats``/``workers``/``shutdown_daemon``) *and* implements the
-:class:`~repro.runtime.executor.Executor` protocol, so the whole runtime
-layer gains remote execution through one line::
+:class:`~repro.runtime.executor.Executor` protocol (``map_specs``), so the
+whole runtime layer gains remote execution through one line::
 
     session = Session(executor=ServiceClient())
     results = session.sweep(problem, strategies=("direct", "pauli"), ...)
@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.exceptions import ExecutionError, SpecError
+from repro.exceptions import ExecutionError
 from repro.resilience import RetryPolicy
 from repro.service.protocol import (
     RemoteError,
@@ -54,7 +54,7 @@ class ServiceClient:
     """Talk to a repro daemon; usable anywhere an executor is.
 
     Waiting on a job never sleeps in the client: :meth:`wait` (and so
-    :meth:`map`) blocks in the daemon's ``wait`` op, which answers the
+    :meth:`map_specs`) blocks in the daemon's ``wait`` op, which answers the
     moment the job finishes.
 
     Parameters
@@ -65,7 +65,7 @@ class ServiceClient:
         Per-request socket timeout in seconds.
     stall_timeout:
         Seconds of *zero observable progress* (no done-count or state
-        change) before :meth:`wait`/:meth:`map` declare a job stalled.
+        change) before :meth:`wait`/:meth:`map_specs` declare a job stalled.
         A job actively completing points never trips it, however long the
         sweep runs.  ``None`` waits forever.
     connect_window:
@@ -287,33 +287,22 @@ class ServiceClient:
 
     # --------------------------------------------------------- Executor seam
 
-    def map(self, fn, items, *, progress=None) -> list:
+    def map_specs(self, payloads, *, progress=None) -> list[dict]:
         """The :class:`~repro.runtime.executor.Executor` protocol entry point.
 
-        Only the canonical task entry point travels: the items must be
-        canonical RunSpec payload dicts and ``fn`` must be
-        :func:`~repro.runtime.executor.execute_spec` — a service cannot ship
-        arbitrary callables, it shares *specs*.  The batch is submitted as
-        one job and the per-point outcomes come back in item order.
+        The canonical RunSpec payloads are submitted as one batch job and
+        the per-point outcomes come back in payload order.
         """
-        from repro.runtime.executor import execute_spec
-
-        if fn is not execute_spec:
-            raise SpecError(
-                f"ServiceClient can only execute canonical run payloads via "
-                f"execute_spec, not {getattr(fn, '__qualname__', fn)!r}; use a "
-                f"local executor for arbitrary callables"
-            )
-        items = list(items)
-        if not items:
+        payloads = list(payloads)
+        if not payloads:
             return []
-        with span("service.map", points=len(items)):
-            ack = self.submit_payloads(items)
+        with span("service.map", points=len(payloads)):
+            ack = self.submit_payloads(payloads)
             job_id = ack["job_id"]
             try:
                 # Progress-aware: the deadline extends as long as points keep
                 # completing and trips only on a true stall — a fixed
-                # ``timeout * len(items)`` product both fails slow sweeps
+                # ``timeout * len(payloads)`` product both fails slow sweeps
                 # that are working and waits absurdly long on dead ones.
                 self.wait(job_id, progress=progress)
             except RemoteError as exc:
@@ -321,9 +310,9 @@ class ServiceClient:
                     f"daemon rejected job {job_id[:12]}…: {exc}"
                 ) from exc
             outcomes = self.result(job_id)
-        if len(outcomes) != len(items):
+        if len(outcomes) != len(payloads):
             raise ExecutionError(
-                f"daemon returned {len(outcomes)} outcomes for {len(items)} tasks"
+                f"daemon returned {len(outcomes)} outcomes for {len(payloads)} tasks"
             )
         return outcomes
 

@@ -4,20 +4,23 @@ The daemon owns the shared :class:`~repro.runtime.cache.ResultCache` and the
 per-process compiled-program memo, listens on a Unix socket (JSON-lines
 frames, see :mod:`repro.service.protocol`) and maintains a priority queue of
 run/sweep/batch jobs.  Work fans out in fixed-size *chunks* of grid points
-through two kinds of workers sharing one claim/complete path:
+through two kinds of workers running one loop
+(:func:`~repro.service.worker.worker_loop`) over one claim/heartbeat/complete
+path:
 
-* an in-daemon :class:`WorkerPool` of threads (``local_workers``) that drain
-  the queue in-process, and
-* external ``repro.service worker`` processes that claim chunks over the
-  socket — extra containers or machines joining the same cache namespace
-  through a forwarded socket.
+* ``local_workers`` in-daemon threads, which run the loop in-process over
+  direct calls, and
+* external ``repro.service worker`` processes that run it over the socket —
+  extra containers or machines joining the same cache namespace through a
+  forwarded socket.
 
 Clients do not poll: the ``wait`` op blocks on a condition the daemon
 notifies whenever a job's progress or state moves, and answers at once.
 Workers do poll ``claim``, so a stopping daemon keeps its socket open for a
 short drain in which every claim is answered ``shutdown``.
 
-Every chunk claim carries a lease; a worker that dies mid-chunk simply stops
+Every chunk claim carries a lease, which both kinds of worker renew by
+heartbeat between batch groups; a worker that dies mid-chunk simply stops
 renewing and the reaper re-queues the chunk (execution is deterministic and
 cache writes are idempotent, so re-running a chunk is always safe).  Job
 state is persisted after every transition through
@@ -44,9 +47,8 @@ from typing import Any
 from repro.exceptions import ReproError, SpecError
 from repro.resilience import fault_point
 from repro.runtime.cache import ResultCache
-from repro.runtime.executor import execute_spec_batch, group_payloads
 from repro.runtime.results import encode_result
-from repro.telemetry import metrics, span, trace_context
+from repro.telemetry import metrics
 from repro.telemetry.exporters import MetricsHTTPServer, render_prometheus
 from repro.telemetry.profiler import maybe_start_profiler
 from repro.telemetry.timeseries import MetricsSampler
@@ -54,6 +56,7 @@ from repro.service import jobs as J
 from repro.service.jobs import Job, JobStore, job_from_batch, job_from_spec
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    RemoteError,
     ServiceError,
     default_service_dir,
     encode_arrays,
@@ -61,6 +64,7 @@ from repro.service.protocol import (
     recv_frame,
     send_frame,
 )
+from repro.service.worker import worker_loop
 
 logger = logging.getLogger("repro.service.daemon")
 
@@ -139,8 +143,10 @@ class Daemon:
         ``None`` for the standard cache — the namespace every worker's
         results land in and every resubmission is served from.
     local_workers:
-        Size of the in-daemon :class:`WorkerPool` (``0`` relies entirely on
-        external ``repro.service worker`` processes).
+        Number of in-daemon worker threads, each running
+        :func:`~repro.service.worker.worker_loop` in-process and
+        heartbeating its leases like an external worker (``0`` relies
+        entirely on external ``repro.service worker`` processes).
     chunk_size:
         Grid points per claimable chunk.
     lease_seconds:
@@ -260,7 +266,7 @@ class Daemon:
         for index in range(self.local_workers):
             self._threads.append(
                 threading.Thread(
-                    target=self._local_worker_loop,
+                    target=self._run_local_worker,
                     args=(f"local-{index}",),
                     name=f"repro-worker-{index}",
                     daemon=True,
@@ -982,46 +988,35 @@ class Daemon:
 
     # ---------------------------------------------------------- worker threads
 
-    def _local_worker_loop(self, worker_id: str) -> None:
-        """One in-daemon pool thread: claim, execute, complete, repeat."""
-        with self._lock:
-            self._touch_worker(worker_id, "local")
-        while not self._stop.is_set():
-            with self._work:
-                self._touch_worker(worker_id, "local")
-                chunk = self._pop_chunk(worker_id)
-                if chunk is None:
-                    self._work.wait(timeout=0.2)
-                    continue
-            with self._lock:
-                job = self._jobs.get(chunk.job_id)
-                trace = None if job is None else job.trace
-                payloads = (
-                    None
-                    if job is None or job.terminal or self._stop.is_set()
-                    else [job.points[i].payload for i in chunk.indices]
-                )
-            outcomes: "list[dict]" = []
-            if payloads is not None:
-                # Consecutive points sharing a compiled plan run as one
-                # vectorized batch; cancellation is re-checked between
-                # groups, and because groups are consecutive index ranges
-                # the outcomes stay a prefix of ``chunk.indices`` order.
-                with trace_context(trace), span(
-                    "service.chunk", worker=worker_id, points=len(payloads)
-                ):
-                    for group in group_payloads(payloads):
-                        with self._lock:
-                            job = self._jobs.get(chunk.job_id)
-                            cancelled = (
-                                job is None or job.terminal or self._stop.is_set()
-                            )
-                        if cancelled:
-                            break  # abandon the chunk's tail
-                        outcomes.extend(
-                            execute_spec_batch([payloads[i] for i in group])
-                        )
-            self._complete(worker_id, chunk.chunk_id, outcomes)
+    def _run_local_worker(self, worker_id: str) -> None:
+        """One in-daemon worker thread: the worker loop over direct calls.
+
+        ``claim`` and ``heartbeat`` go through :meth:`handle`; ``complete``
+        hands the raw outcomes straight to :meth:`_complete`.
+        """
+
+        def call(op: str, **fields) -> dict:
+            if op == "complete":
+                return self._complete(worker_id, fields["chunk_id"], fields["outcomes"])
+            response = self.handle(
+                {"op": op, "worker": worker_id, "kind": "local", **fields}
+            )
+            if not response["ok"]:
+                raise RemoteError(response["error"])
+            return response
+
+        worker_loop(call, self._await_work, worker_id=worker_id)
+
+    def _await_work(self) -> None:
+        """An idle local worker's wait: until a chunk is queued (at most 0.2 s).
+
+        The emptiness check and the wait share the lock that enqueueing
+        notifies under, so a submit landing after the idle claim is never
+        slept through.
+        """
+        with self._work:
+            if not self._chunks and not self._stop.is_set():
+                self._work.wait(timeout=0.2)
 
     def _reaper_loop(self) -> None:
         """Re-queue chunks whose workers stopped renewing their lease."""

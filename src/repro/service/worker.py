@@ -1,7 +1,9 @@
-"""External worker: a process that drains the daemon's queue over the socket.
+"""The service worker: claim a chunk, execute it, complete it, repeat.
 
-``python -m repro.service worker --connect <socket>`` runs this loop.  The
-worker claims chunks and executes them through the same
+:func:`worker_loop` is the one worker loop.  ``python -m repro.service worker
+--connect <socket>`` runs it over the socket (:func:`run_worker`); the
+daemon's in-process worker threads run it over direct calls.  The worker
+executes chunks through the same
 :func:`~repro.runtime.executor.execute_spec_batch` entry point the process
 executor's pool uses: consecutive grid points sharing a compiled plan
 (repeat axes, initial-state grids) run as one vectorized evolution, and the
@@ -9,8 +11,8 @@ per-process compiled-program memo keeps a long-lived worker's compiles warm
 across jobs.  Outcomes ship back for the daemon to cache.
 
 Between batch groups the worker heartbeats: that renews its chunk lease and
-learns about cancellation, so a cancelled job stops costing CPU within one
-group.
+learns about cancellation, so a chunk longer than one lease is not
+re-queued under it and a cancelled job stops costing CPU within one group.
 
 Transient daemon trouble does not kill the fleet: every socket operation is
 retried with jittered backoff inside a bounded ``reconnect_window`` (the
@@ -66,6 +68,10 @@ def run_worker(
 ) -> int:
     """Claim/execute/complete until shutdown; returns a process exit code.
 
+    The socket transport around :func:`worker_loop`: every op is one request
+    retried inside the reconnect window, outcomes travel in wire encoding,
+    and an idle worker sleeps ``poll_interval`` before claiming again.
+
     Parameters
     ----------
     socket_path:
@@ -96,6 +102,8 @@ def run_worker(
 
     def call(op: str, **fields):
         """One daemon op, retried inside a fresh reconnect window."""
+        if op == "complete":
+            fields["outcomes"] = [outcome_to_wire(o) for o in fields["outcomes"]]
         if reconnect_window <= 0:
             return request(socket_path, op, worker=worker_id, **fields)
         deadline = Deadline(reconnect_window)
@@ -109,6 +117,33 @@ def run_worker(
             **fields,
         )
 
+    return worker_loop(
+        call,
+        lambda: time.sleep(poll_interval),
+        worker_id=worker_id,
+        max_idle=max_idle,
+        max_chunks=max_chunks,
+    )
+
+
+def worker_loop(
+    call,
+    idle,
+    *,
+    worker_id: str,
+    max_idle: "float | None" = None,
+    max_chunks: "int | None" = None,
+) -> int:
+    """The worker itself, over any transport; returns an exit code.
+
+    ``call(op, **fields)`` performs one daemon op (``claim``, ``heartbeat``
+    or ``complete`` with raw outcome dicts) and returns its response; it
+    raises :class:`ServiceConnectionError` when the daemon is gone and
+    :class:`RemoteError` when the daemon rejects the op.  ``idle()`` is
+    called after an empty claim (or a rejected one) and returns when it is
+    worth claiming again.  :func:`run_worker` supplies both over the socket;
+    the daemon's in-process worker threads call it directly.
+    """
     idle_since: "float | None" = None
     completed = 0
     claim_errors = 0
@@ -117,9 +152,9 @@ def run_worker(
             claim = call("claim")
         except ServiceConnectionError:
             logger.info(
-                "worker %s: daemon unreachable for %.3gs; exiting "
+                "worker %s: daemon unreachable; exiting "
                 "(lease reaper re-queues any held work)",
-                worker_id, reconnect_window,
+                worker_id,
             )
             return 0  # daemon gone: a worker has nothing left to do
         except RemoteError as exc:
@@ -133,7 +168,7 @@ def run_worker(
             logger.warning(
                 "worker %s: claim failed (%s); retrying", worker_id, exc
             )
-            time.sleep(poll_interval)
+            idle()
             continue
         claim_errors = 0
         if claim.get("shutdown"):
@@ -143,7 +178,7 @@ def run_worker(
             idle_since = idle_since if idle_since is not None else now
             if max_idle is not None and now - idle_since >= max_idle:
                 return 0
-            time.sleep(poll_interval)
+            idle()
             continue
         idle_since = None
         payloads = claim["payloads"]
@@ -171,8 +206,7 @@ def run_worker(
                     if beat.get("cancelled"):
                         abandoned = True
                         break
-                batch = execute_spec_batch([payloads[i] for i in group])
-                outcomes.extend(outcome_to_wire(outcome) for outcome in batch)
+                outcomes.extend(execute_spec_batch([payloads[i] for i in group]))
         if not abandoned:
             try:
                 call(

@@ -16,7 +16,7 @@ from repro.service.protocol import ServiceConnectionError, connect
 from repro.service.worker import run_worker
 from repro.telemetry import metrics
 
-from _chaos_helpers import sweep_payloads
+from _chaos_helpers import make_problem, sweep_payloads
 
 
 def test_client_request_survives_injected_disconnect(make_daemon):
@@ -89,6 +89,25 @@ def test_worker_rides_out_claim_rejection(make_daemon):
     thread.join(timeout=30)
     assert exit_code["value"] == 0
     assert metrics.counter("resilience.faults_injected") >= 1
+
+
+def test_in_daemon_worker_renews_a_lease_shorter_than_its_chunk(make_daemon):
+    # Two unbatchable 0.15 s points make a 0.3 s chunk under a 0.2 s lease:
+    # without a heartbeat between them the reaper re-queues the chunk every
+    # time and the job never finishes.
+    from repro.runtime import RunSpec
+
+    daemon = make_daemon(local_workers=1, chunk_size=2, lease_seconds=0.2)
+    client = ServiceClient(daemon.socket_path)
+    configure_faults("worker.execute:delay=0.15")
+    payloads = [
+        RunSpec(problem=make_problem(steps=steps)).to_dict(canonical=True)
+        for steps in (1, 2)
+    ]
+    ack = client.submit_payloads(payloads)
+    status = client.wait(ack["job_id"], timeout=5.0)
+    assert status["state"] == "done" and status["done"] == 2
+    assert metrics.counter("service.lease_losses") == 0
 
 
 def test_health_reports_and_detects_degradation(make_daemon, tmp_path):

@@ -35,27 +35,47 @@ class TestSerialExecutor:
         assert result == [0, 1, 4, 9, 16]
         assert seen == [(i, 5) for i in range(1, 6)]
 
+    def test_map_specs_runs_each_payload_alone(self, monkeypatch):
+        import numpy as np
+
+        from repro.runtime import executor as executor_module
+
+        def no_fusion(payloads):
+            raise AssertionError("the serial oracle never fuses a group")
+
+        monkeypatch.setattr(executor_module, "execute_spec_batch", no_fusion)
+        payloads = [
+            RunSpec(
+                problem=problem(), backend="kernel",
+                run_kwargs={"initial_state": index},
+            ).to_dict(canonical=True)
+            for index in range(3)
+        ]
+        seen = []
+        outcomes = SerialExecutor().map_specs(
+            payloads, progress=lambda done, total: seen.append((done, total))
+        )
+        assert seen == [(1, 3), (2, 3), (3, 3)]
+        for outcome, payload in zip(outcomes, payloads):
+            reference = execute_spec(payload)
+            assert outcome["ok"] and "batched" not in outcome
+            for key in reference["arrays"]:
+                assert np.array_equal(outcome["arrays"][key], reference["arrays"][key])
+
 
 class TestProcessExecutor:
-    def test_map_matches_serial(self):
-        items = list(range(23))
-        serial = SerialExecutor().map(_square, items)
-        pooled = ProcessExecutor(4, chunk_size=3).map(_square, items)
-        assert pooled == serial
+    def test_single_item_runs_in_process(self, monkeypatch):
+        import numpy as np
 
-    def test_progress_reaches_total(self):
-        seen = []
-        ProcessExecutor(2, chunk_size=2).map(
-            _square, range(7), progress=lambda d, t: seen.append((d, t))
-        )
-        assert seen[-1] == (7, 7)
-        assert all(t == 7 for _, t in seen)
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-payload call must not start a pool")
 
-    def test_single_item_runs_in_process(self):
-        assert ProcessExecutor(4).map(_square, [3]) == [9]
-
-    def test_empty(self):
-        assert ProcessExecutor(2).map(_square, []) == []
+        monkeypatch.setattr(ProcessExecutor, "_pool_pass", no_pool)
+        payload = RunSpec(problem=problem()).to_dict(canonical=True)
+        [outcome] = ProcessExecutor(4).map_specs([payload])
+        reference = execute_spec(payload)
+        assert outcome["ok"] and reference["ok"]
+        assert np.array_equal(outcome["arrays"]["data"], reference["arrays"]["data"])
 
     def test_default_chunking(self):
         executor = ProcessExecutor(2)
@@ -81,6 +101,20 @@ class TestResolveExecutor:
             resolve_executor("four")
         with pytest.raises(SpecError):
             resolve_executor(True)
+
+    def test_the_protocol_is_map_specs_alone(self):
+        class PayloadsOnly:
+            def map_specs(self, payloads, *, progress=None):
+                return []
+
+        class CallablesOnly:
+            def map(self, fn, items, *, progress=None):
+                return []
+
+        payloads_only = PayloadsOnly()
+        assert resolve_executor(payloads_only) is payloads_only
+        with pytest.raises(SpecError):
+            resolve_executor(CallablesOnly())
 
 
 class TestExecuteSpec:
@@ -116,27 +150,10 @@ class TestCrossProcessParity:
             for k in (1, 2, 3, 4)
         ]
         local = [execute_spec(s) for s in specs]
-        pooled = ProcessExecutor(2, chunk_size=1).map(execute_spec, specs)
+        pooled = ProcessExecutor(2, chunk_size=1).map_specs(specs)
         for a, b in zip(local, pooled):
             assert a["ok"] and b["ok"]
             assert a["result"]["counts"] == b["result"]["counts"]
-
-
-class TestPicklabilityFailFast:
-    def test_lambda_callable_is_a_clear_runtime_error(self):
-        pool = ProcessExecutor(2)
-        with pytest.raises(RuntimeError, match="cannot pickle the callable"):
-            pool.map(lambda x: x, [1, 2, 3])
-
-    def test_unpicklable_item_names_the_slice(self):
-        pool = ProcessExecutor(2, chunk_size=2)
-        items = [1, 2, (lambda: None), 4]  # chunk [2:4] holds the offender
-        with pytest.raises(RuntimeError, match=r"could not pickle items"):
-            pool.map(_square, items)
-
-    def test_single_worker_serial_path_still_works_with_lambdas(self):
-        # max_workers=1 short-circuits to in-process execution: no pickling.
-        assert ProcessExecutor(1).map(lambda x: x + 1, [1, 2]) == [2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +384,20 @@ class TestMapSpecs:
 
 class TestWorkerHygiene:
     def test_pool_workers_pin_blas_threads(self):
-        values = ProcessExecutor(2, chunk_size=1).map(_read_blas_env, [0, 1, 2])
+        import concurrent.futures
+
+        from repro.runtime.executor import _worker_init
+
+        with concurrent.futures.ProcessPoolExecutor(
+            2, initializer=_worker_init, initargs=(None, 1)
+        ) as pool:
+            values = list(pool.map(_read_blas_env, [0, 1, 2]))
         assert values == ["1", "1", "1"]
 
 
 # ---------------------------------------------------------------------------
 # Per-point progress plumbing
 # ---------------------------------------------------------------------------
-
-
-def _slow_square(x):
-    import time
-
-    time.sleep(0.1)
-    return x * x
 
 
 class _RecordingQueue:
@@ -391,24 +408,7 @@ class _RecordingQueue:
         self.counts.append(count)
 
 
-class _BrokenQueue:
-    def put_nowait(self, count):
-        raise RuntimeError("manager went away")
-
-
 class TestPerPointProgress:
-    def test_run_chunk_counts_each_item(self):
-        from repro.runtime.executor import _run_chunk
-
-        queue = _RecordingQueue()
-        assert _run_chunk(_square, [1, 2, 3], queue) == [1, 4, 9]
-        assert queue.counts == [1, 1, 1]
-
-    def test_run_chunk_survives_a_broken_queue(self):
-        from repro.runtime.executor import _run_chunk
-
-        assert _run_chunk(_square, [1, 2], _BrokenQueue()) == [1, 4]
-
     def test_run_spec_chunk_counts_group_sizes(self):
         from repro.runtime.executor import _run_spec_chunk
 
@@ -427,13 +427,25 @@ class TestPerPointProgress:
         assert [len(g) for g in outcome_groups] == [2, 1]
         assert queue.counts == [2, 1]
 
-    def test_pool_reports_mid_chunk_progress(self):
-        # Two 4-item chunks of ~0.1 s items: chunk-granular reporting would
+    def test_pool_reports_mid_chunk_progress(self, monkeypatch):
+        from repro.resilience import configure_faults
+
+        # Two 4-point chunks of ~0.1 s points (pool workers re-read the
+        # fault plan in _worker_init): chunk-granular reporting would
         # produce at most 3 callbacks, per-point counts produce more.
+        payloads = [
+            RunSpec(problem=problem(steps=k)).to_dict(canonical=True)
+            for k in range(1, 9)
+        ]
+        monkeypatch.setenv("REPRO_FAULTS", "worker.execute:delay=0.1")
         seen = []
-        ProcessExecutor(2, chunk_size=4).map(
-            _slow_square, range(8), progress=lambda d, t: seen.append((d, t))
-        )
+        try:
+            ProcessExecutor(2, chunk_size=4).map_specs(
+                payloads, progress=lambda d, t: seen.append((d, t))
+            )
+        finally:
+            monkeypatch.delenv("REPRO_FAULTS")
+            configure_faults(None)  # forget any plan this process read
         assert seen[-1] == (8, 8)
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
         assert len(seen) >= 4

@@ -7,7 +7,13 @@ import pytest
 
 import repro
 from repro.exceptions import ExecutionError, SpecError
-from repro.runtime import ResultCache, RunSpec, Session, SweepSpec
+from repro.runtime import (
+    ResultCache,
+    RunSpec,
+    SerialExecutor,
+    Session,
+    SweepSpec,
+)
 
 
 @pytest.fixture
@@ -190,6 +196,27 @@ class TestSweep:
         )
         session.sweep(problem(), steps=(1, 2, 3))
         assert seen[-1] == (3, 3)
+
+
+class TestExecutorSeam:
+    def test_any_object_with_map_specs_is_an_executor(self, tmp_path):
+        class Recording:
+            def __init__(self):
+                self.batches = []
+
+            def map_specs(self, payloads, *, progress=None):
+                self.batches.append(list(payloads))
+                return SerialExecutor().map_specs(payloads, progress=progress)
+
+        executor = Recording()
+        session = Session(cache=tmp_path / "cache", executor=executor)
+        cold = session.sweep(problem(), steps=(1, 2))
+        assert cold.ok and cold.num_cached == 0
+        [batch] = executor.batches  # one call carries every pending point
+        canonical = [RunSpec.from_dict(p).to_dict(canonical=True) for p in batch]
+        assert canonical == batch
+        assert session.sweep(problem(), steps=(1, 2)).num_cached == 2
+        assert len(executor.batches) == 1  # cache hits never reach it
 
 
 class TestWorkerDeterminism:

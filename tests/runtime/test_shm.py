@@ -147,16 +147,19 @@ class TestPoolLifecycle:
 
     @pytest.mark.slow
     def test_sigkilled_worker_is_reaped(self, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
-
         from repro.runtime import executor as executor_module
 
         # The forked worker inherits this patch: it exports a segment into
-        # the sweep's namespace and dies before returning anything.
+        # the sweep's namespace and dies before returning anything.  Every
+        # pass loses its pool, so after the one restart map_specs records
+        # each point as a captured TimeoutError instead of raising.
         monkeypatch.setattr(executor_module, "_run_spec_chunk", _export_and_die)
         pool = ProcessExecutor(2, chunk_size=2, use_shm=True)
-        with pytest.raises(BrokenProcessPool):
-            pool.map_specs(self.payloads())
-        # map_specs' finally-reaper ran: the dead worker's export is gone
+        outcomes = pool.map_specs(self.payloads())
+        assert len(outcomes) == 4
+        for outcome in outcomes:
+            assert outcome["ok"] is False
+            assert outcome["error"]["type"] == "TimeoutError"
+        # map_specs' finally-reaper ran: the dead workers' exports are gone
         # (asserted by the autouse fixture's exit check as well).
         assert not repro_segments()

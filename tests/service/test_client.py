@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.exceptions import ExecutionError, SpecError
+from repro.exceptions import ExecutionError
 from repro.runtime import RunSpec, SerialExecutor, Session, SweepSpec
 from repro.service.client import ServiceClient
 from repro.service.worker import DEFAULT_RECONNECT_WINDOW, run_worker
@@ -102,18 +102,10 @@ class TestFleetEndToEnd:
 
 
 class TestClientApi:
-    def test_map_refuses_arbitrary_callables(self, make_daemon):
-        daemon = make_daemon(local_workers=0)
-        client = ServiceClient(daemon.socket_path)
-        with pytest.raises(SpecError, match="execute_spec"):
-            client.map(len, [{"spec": "run"}])
-
     def test_map_of_nothing_is_nothing(self, make_daemon):
         daemon = make_daemon(local_workers=0)
         client = ServiceClient(daemon.socket_path)
-        from repro.runtime.executor import execute_spec
-
-        assert client.map(execute_spec, []) == []
+        assert client.map_specs([]) == []
 
     def test_cancel_through_the_client(self, make_daemon):
         daemon = make_daemon(local_workers=0)

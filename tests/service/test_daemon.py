@@ -360,6 +360,53 @@ class TestWaitOp:
         assert not nan["ok"] and "NaN" in nan["error"]["message"]
 
 
+class TestLocalWorkers:
+    def test_local_threads_run_the_worker_loop_without_wire_encoding(
+        self, make_daemon, monkeypatch
+    ):
+        from repro.service import daemon as daemon_module
+        from repro.service import worker as worker_module
+        from repro.telemetry import metrics
+
+        def no_wire(outcome):
+            raise AssertionError("in-process completions must stay raw")
+
+        monkeypatch.setattr(worker_module, "outcome_to_wire", no_wire)
+        monkeypatch.setattr(daemon_module, "outcome_from_wire", no_wire)
+        renewals = metrics.counter("service.lease_renewals")
+        daemon = make_daemon(local_workers=1, chunk_size=2)
+        ack = submit(daemon, sweep_spec())  # 4 unbatchable points, 2 chunks
+        status = wait_until(
+            lambda: (s := daemon.handle({"op": "status", "job_id": ack["job_id"]}))
+            and s["state"] in ("done", "failed") and s
+        )
+        assert status["state"] == "done" and status["succeeded"] == 4
+        [info] = daemon.handle({"op": "workers"})["workers"]
+        assert info["worker_id"] == "local-0" and info["kind"] == "local"
+        assert info["chunks_completed"] == 2 and info["points_completed"] == 4
+        # One heartbeat between the two groups of each chunk.
+        assert metrics.counter("service.lease_renewals") - renewals >= 2
+
+    def test_idle_wait_returns_at_once_when_work_is_queued(self, make_daemon):
+        daemon = make_daemon(local_workers=0)
+        start = time.monotonic()
+        daemon._await_work()
+        assert time.monotonic() - start >= 0.1  # empty queue: the bounded wait
+        # A submit that lands between an idle claim and the wait is not
+        # slept through.
+        submit(daemon, sweep_spec())
+        start = time.monotonic()
+        daemon._await_work()
+        assert time.monotonic() - start < 0.1
+
+    def test_idle_wait_returns_at_once_when_stopping(self, make_daemon):
+        daemon = make_daemon(local_workers=0)
+        daemon.request_stop()
+        start = time.monotonic()
+        daemon._await_work()
+        assert time.monotonic() - start < 0.1
+
+
 class TestShutdownDrain:
     def test_a_silent_worker_holds_the_drain_at_most_its_cap(self, make_daemon):
         from repro.service.daemon import SHUTDOWN_DRAIN_SECONDS

@@ -131,14 +131,6 @@ class TestFleetOps:
         out = capsys.readouterr().out
         assert "cli-worker" in out and "2 points" in out
 
-    def test_stats_watch_redraws(self, make_daemon, capsys):
-        daemon = make_daemon(local_workers=0)
-        socket_args = ["--socket", str(daemon.socket_path)]
-        assert main(["stats", "--watch", "0.01", "--count", "3", *socket_args]) == 0
-        out = capsys.readouterr().out
-        assert out.count("daemon pid") == 3
-        assert out.count("\x1b[2J\x1b[H") == 2  # redraw between polls, not before
-
     def test_stats_includes_phase_split_after_work(self, served, service_env,
                                                    capsys):
         daemon, socket_args = served

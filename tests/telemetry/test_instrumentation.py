@@ -71,6 +71,24 @@ class TestPhaseTimings:
         outcomes[0]["timings"]["evolve"] = -1.0
         assert outcomes[1]["timings"]["evolve"] >= 0.0
 
+    def test_point_and_batch_trace_the_same_phase_spans(self, traced):
+        group = [
+            RunSpec(
+                problem=problem(), backend="sampling",
+                run_kwargs={"shots": 64, "rng": index},
+            ).to_dict(canonical=True)
+            for index in range(3)
+        ]
+        assert execute_spec(RunSpec(problem=problem()).to_dict(canonical=True))["ok"]
+        assert all(o["batched"] == 3 for o in execute_spec_batch(group))
+        spans = load_trace_dir(traced)
+        for root_name in ("execute.point", "execute.batch"):
+            (root,) = [s for s in spans if s["name"] == root_name]
+            phases = sorted(
+                s["name"] for s in spans if s.get("parent_id") == root["span_id"]
+            )
+            assert phases == ["execute.compile", "execute.encode", "execute.evolve"]
+
     def test_session_records_expose_timings_and_table_column(self):
         session = Session(cache=False)
         results = session.sweep(SweepSpec(problem=problem(), steps=(1, 2)))
