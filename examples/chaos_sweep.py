@@ -3,11 +3,10 @@
 1. run a small sampling sweep fault-free and serially — the reference;
 2. arm a deterministic fault plan via ``REPRO_FAULTS``: one pool worker is
    SIGKILLed mid-point (fleet-wide ``@once`` through the shared state
-   directory), every second shared-memory export hits a fake ``ENOSPC``,
-   and every cache write fails as if the disk were full;
+   directory), and every cache write fails as if the disk were full;
 3. run the same sweep on the resilient 2-worker :class:`ProcessExecutor` —
-   the watchdog restarts the killed pool, shm exports fall back to the
-   pickle pipe, cache puts degrade to "computed but not stored";
+   the watchdog restarts the killed pool, cache puts degrade to "computed
+   but not stored";
 4. verify the chaos run's results are bit-identical to the reference;
 5. print the ``resilience.*`` counters that made every absorbed fault
    visible.
@@ -52,7 +51,6 @@ def main() -> None:
     plan = (
         f"state={state};seed=3;"
         "worker.execute:kill@once;"
-        "shm.export:raise=ENOSPC@every=2;"
         "cache.put:raise=ENOSPC"
     )
     os.environ[resilience.FAULTS_ENV] = plan  # inherited by pool workers
@@ -83,11 +81,7 @@ def main() -> None:
 
     # ------------------------------------------------------------------ 5.
     print("\nresilience counters (what the sweep absorbed):")
-    for name in (
-        "resilience.retries",
-        "resilience.timeouts",
-        "shm.export_fallbacks",
-    ):
+    for name in ("resilience.retries", "resilience.timeouts"):
         print(f"  {name:<28} {metrics.counter(name)}")
     print("(workers count their own fallbacks/faults in-process; a service "
           "daemon aggregates them fleet-wide via `repro-service health`)")

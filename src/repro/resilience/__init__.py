@@ -5,8 +5,8 @@ The resilience layer has two halves that certify each other:
 - :mod:`repro.resilience.faults` *produces* failures deterministically — a
   seeded :class:`FaultPlan` (from the ``REPRO_FAULTS`` environment variable
   or built in tests) fires raises/delays/SIGKILLs at named
-  :func:`fault_point` sites across the cache, shm transport, executor, and
-  service protocol.
+  :func:`fault_point` sites across the cache, executor, and service
+  protocol.
 - :mod:`repro.resilience.policy` *absorbs* them — :class:`RetryPolicy`
   (jittered exponential backoff over classified transients) and
   :class:`Deadline` budgets back the client reconnect loop, the worker

@@ -3,8 +3,8 @@
 A chaos claim ("a sweep survives any single failure") is only provable if the
 failures can be *produced on demand, reproducibly*.  This module provides the
 production side: named **fault sites** instrumented into the hot paths —
-``cache.put``, ``cache.get``, ``cache.put.torn``, ``shm.export``,
-``worker.execute``, ``protocol.send``, ``daemon.claim`` — and a
+``cache.put``, ``cache.get``, ``cache.put.torn``, ``worker.execute``,
+``protocol.send``, ``daemon.claim`` — and a
 :class:`FaultPlan` that decides, deterministically, which calls at which
 sites misbehave and how.
 
@@ -49,7 +49,7 @@ the same chaos), or programmatically via :func:`configure_faults`.
 Examples::
 
     REPRO_FAULTS='cache.put:raise=ENOSPC@n=2'
-    REPRO_FAULTS='seed=7;shm.export:raise=ENOSPC@p=0.5,times=3'
+    REPRO_FAULTS='seed=7;cache.get:raise=EIO@p=0.5,times=3'
     REPRO_FAULTS='state=/tmp/chaos;worker.execute:kill@once'
     REPRO_FAULTS='protocol.send:raise=ConnectionError@every=4'
 

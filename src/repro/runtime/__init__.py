@@ -7,8 +7,7 @@ The execution layer the compile pipeline was built to receive: declarative
 per-task seeding and failure capture, and the :class:`Session` facade that
 composes them.  The process pool additionally plan-batches grid points that
 share a compiled program (one vectorized ``(dim, B)`` evolution instead of
-``B`` scalar ones), pins worker BLAS pools to one thread, and returns large
-arrays through POSIX shared memory instead of pickling them::
+``B`` scalar ones) and pins worker BLAS pools to one thread::
 
     import repro
     from repro.runtime import Session
@@ -41,6 +40,7 @@ from repro.runtime.executor import (
     execute_spec,
     execute_spec_batch,
     group_payloads,
+    pin_blas_threads,
     resolve_executor,
 )
 from repro.runtime.results import (
@@ -54,13 +54,6 @@ from repro.runtime.session import (
     Session,
     get_default_session,
     set_default_session,
-)
-from repro.runtime.shm import (
-    SHM_ENV,
-    SHM_MIN_BYTES_ENV,
-    pin_blas_threads,
-    reap_orphans,
-    shm_enabled,
 )
 from repro.runtime.spec import SEEDED_BACKENDS, RunSpec, SweepSpec
 
@@ -76,8 +69,6 @@ __all__ = [
     "RunRecord",
     "RunSpec",
     "SEEDED_BACKENDS",
-    "SHM_ENV",
-    "SHM_MIN_BYTES_ENV",
     "SerialExecutor",
     "Session",
     "SweepSpec",
@@ -90,9 +81,7 @@ __all__ = [
     "get_default_session",
     "group_payloads",
     "pin_blas_threads",
-    "reap_orphans",
     "resolve_executor",
     "result_to_json",
     "set_default_session",
-    "shm_enabled",
 ]

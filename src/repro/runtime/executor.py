@@ -312,24 +312,19 @@ def execute_spec_batch(payloads: "Sequence[dict]") -> list[dict]:
 def _run_spec_chunk(
     groups: list[list[dict]], trace=None, progress_queue=None
 ) -> list[list[dict]]:
-    """Execute batch-key groups inside a worker, exporting big arrays as shm.
+    """Execute batch-key groups inside a worker.
 
     The worker-side counterpart of :meth:`ProcessExecutor.map_specs`: each
-    group runs through :func:`execute_spec_batch`, and when the pool
-    initializer installed a shared-memory namespace, every large result array
-    leaves through a named segment instead of the pickle pipe.  ``trace`` is
-    the parent's span context (worker spans attach to the submitting trace);
+    group runs through :func:`execute_spec_batch`, and the outcomes travel
+    back through the pool's result pipe.  ``trace`` is the parent's span
+    context (worker spans attach to the submitting trace);
     ``progress_queue`` receives one count per completed group so the parent
     can report per-point progress mid-chunk.
     """
-    from repro.runtime import shm
-
     results: list[list[dict]] = []
     with trace_context(trace):
         for group in groups:
-            results.append(
-                [shm.export_outcome(outcome) for outcome in execute_spec_batch(group)]
-            )
+            results.append(execute_spec_batch(group))
             if progress_queue is not None:
                 try:
                     progress_queue.put_nowait(len(group))
@@ -338,22 +333,87 @@ def _run_spec_chunk(
     return results
 
 
-def _worker_init(shm_prefix: "str | None", blas_threads: int) -> None:
-    """Process-pool initializer: BLAS pinning + shared-memory namespace.
+# ---------------------------------------------------------------------------
+# Worker hygiene: BLAS-thread pinning
+# ---------------------------------------------------------------------------
+
+#: The environment knobs every mainstream BLAS/OpenMP runtime honours.
+BLAS_ENV_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+_OPENBLAS_SYMBOLS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _bundled_blas_libraries() -> list[str]:
+    """The OpenBLAS shared objects bundled inside the numpy/scipy wheels."""
+    import glob
+
+    found: list[str] = []
+    for module_name in ("numpy", "scipy"):
+        try:
+            module = __import__(module_name)
+        except ImportError:  # pragma: no cover - scipy is a hard dep here
+            continue
+        libs = os.path.join(
+            os.path.dirname(os.path.dirname(module.__file__)),
+            f"{module_name}.libs",
+        )
+        found.extend(glob.glob(os.path.join(libs, "*openblas*")))
+    return found
+
+
+def pin_blas_threads(n: int = 1) -> None:
+    """Cap BLAS/OpenMP threading at ``n`` threads for this process.
+
+    Sets the environment knobs (authoritative for libraries not yet loaded
+    and for any further subprocesses) and then calls the ``set_num_threads``
+    entry point of every already-loaded bundled OpenBLAS — the case that
+    matters under ``fork``, where workers inherit a fully initialized BLAS
+    whose thread pool no longer reads the environment.  Never raises: a BLAS
+    we cannot find simply keeps its configuration.
+    """
+    value = str(max(1, int(n)))
+    for var in BLAS_ENV_VARS:
+        os.environ[var] = value
+    import ctypes
+
+    for library in _bundled_blas_libraries():
+        try:
+            handle = ctypes.CDLL(library)
+        except OSError:  # pragma: no cover - unloadable stray file
+            continue
+        for symbol in _OPENBLAS_SYMBOLS:
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                try:
+                    fn(int(value))
+                except Exception:  # pragma: no cover - exotic ABI
+                    pass
+
+
+def _worker_init(blas_threads: int) -> None:
+    """Process-pool initializer: BLAS pinning and a fresh fault plan.
 
     Runs once per worker before any task: caps BLAS/OpenMP threading so
     ``n_workers`` processes do not fan out ``n_workers × N`` BLAS threads
-    over the same cores, and installs the sweep's segment namespace for
-    :func:`_run_spec_chunk` result transport.  Fault-plan state is reset so
-    a forked worker re-reads ``REPRO_FAULTS`` with fresh trigger counters
-    instead of inheriting the parent's mid-count plan.
+    over the same cores.  Fault-plan state is reset so a forked worker
+    re-reads ``REPRO_FAULTS`` with fresh trigger counters instead of
+    inheriting the parent's mid-count plan.
     """
-    from repro.runtime import shm
     from repro.telemetry.profiler import maybe_start_profiler
 
     _reset_fault_state()
-    shm.pin_blas_threads(blas_threads)
-    shm.activate_worker(shm_prefix)
+    pin_blas_threads(blas_threads)
     maybe_start_profiler()  # REPRO_PROFILE-armed; one dict lookup when off
 
 
@@ -409,8 +469,8 @@ class ProcessExecutor:
     Every pool worker starts through an initializer that pins BLAS/OpenMP
     threading to ``blas_threads_per_worker`` (default 1), so a CPU-count
     pool no longer oversubscribes the box with ``n_workers × N`` BLAS
-    threads.  :meth:`map_specs` plan-batches the payloads and returns large
-    result arrays through shared memory (see :mod:`repro.runtime.shm`).
+    threads.  :meth:`map_specs` plan-batches the payloads, and outcomes come
+    back through the pool's result pipe.
 
     Parameters
     ----------
@@ -427,10 +487,6 @@ class ProcessExecutor:
     blas_threads_per_worker:
         BLAS/OpenMP thread cap installed in every worker (default 1;
         raise it for pools of fewer workers than cores).
-    use_shm:
-        ``None`` (default) follows ``REPRO_SHM``/platform support; ``False``
-        forces every result through the pickle pipe; ``True`` requires
-        shared-memory transport and raises if unavailable.
     point_timeout:
         Hung-point watchdog for :meth:`map_specs` (seconds per point,
         scaled by the largest batch group in flight).  When no point
@@ -454,7 +510,6 @@ class ProcessExecutor:
         chunk_size: int | None = None,
         mp_context: str | None = None,
         blas_threads_per_worker: int = 1,
-        use_shm: bool | None = None,
         point_timeout: float | None = None,
         max_restarts: int = 1,
     ):
@@ -472,27 +527,12 @@ class ProcessExecutor:
             raise SpecError(f"point_timeout must be > 0, got {point_timeout}")
         if max_restarts < 0:
             raise SpecError(f"max_restarts must be >= 0, got {max_restarts}")
-        from repro.runtime import shm
-
-        if use_shm is True and not shm.shm_enabled():
-            raise SpecError(
-                "use_shm=True but shared-memory transport is unavailable "
-                "(REPRO_SHM=0 or no multiprocessing.shared_memory support)"
-            )
         self.n_workers = int(n_workers)
         self.chunk_size = chunk_size
         self.mp_context = mp_context
         self.blas_threads_per_worker = int(blas_threads_per_worker)
-        self.use_shm = use_shm
         self.point_timeout = None if point_timeout is None else float(point_timeout)
         self.max_restarts = int(max_restarts)
-
-    def _shm_active(self) -> bool:
-        from repro.runtime import shm
-
-        if self.use_shm is None:
-            return shm.shm_enabled()
-        return bool(self.use_shm)
 
     def _resolve_chunk(self, n_items: int) -> int:
         if self.chunk_size is not None:
@@ -568,18 +608,13 @@ class ProcessExecutor:
         *,
         progress: "Callable[[int, int], None] | None" = None,
     ) -> list[dict]:
-        """Execute canonical RunSpec payloads: batched, shm-transported.
+        """Execute canonical RunSpec payloads, plan-batched across the pool.
 
         Payloads are gathered into plan-batch groups (:func:`group_payloads`),
-        the groups are fanned out in group-preserving chunks, workers run
-        :func:`execute_spec_batch` and ship large arrays back as
-        shared-memory segment references, and the parent reattaches them
-        zero-copy.  Outcomes come back in payload order with the exact
-        per-point contract of :func:`execute_spec`.
-
-        Every fan-out ends with a reaper sweep over its segment namespace
-        (plus a global sweep for dead owners), so neither a failed chunk nor
-        a SIGKILLed worker can leak ``/dev/shm`` blocks.
+        the groups are fanned out in group-preserving chunks, and workers run
+        :func:`execute_spec_batch` and return their outcomes through the
+        pool's result pipe.  Outcomes come back in payload order with the
+        exact per-point contract of :func:`execute_spec`.
 
         With ``point_timeout`` set, a watchdog tracks per-group completions:
         a pool that stops making progress (hung point) or loses a worker to
@@ -605,9 +640,6 @@ class ProcessExecutor:
 
         import multiprocessing
 
-        from repro.runtime import shm
-
-        prefix = shm.make_prefix() if self._shm_active() else None
         chunks = self._chunk_groups(groups, len(payloads))
         context = (
             multiprocessing.get_context(self.mp_context)
@@ -627,7 +659,7 @@ class ProcessExecutor:
                 while True:
                     self._pool_pass(
                         chunks, payloads, results, trace,
-                        progress_queue, drain, context, prefix,
+                        progress_queue, drain, context,
                     )
                     leftovers = [
                         group
@@ -677,14 +709,10 @@ class ProcessExecutor:
         finally:
             if manager is not None:
                 manager.shutdown()
-            if prefix is not None:
-                shm.reap_prefix(prefix)
-                shm.reap_orphans()
         return results
 
     def _pool_pass(
-        self, chunks, payloads, results, trace, progress_queue, drain,
-        context, prefix,
+        self, chunks, payloads, results, trace, progress_queue, drain, context,
     ) -> None:
         """One process-pool pass over ``chunks``, filling ``results`` in place.
 
@@ -697,8 +725,6 @@ class ProcessExecutor:
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.runtime import shm
-
         largest_group = max(
             (len(group) for chunk in chunks for group in chunk), default=1
         )
@@ -710,7 +736,7 @@ class ProcessExecutor:
             max_workers=min(self.n_workers, len(chunks)),
             mp_context=context,
             initializer=_worker_init,
-            initargs=(prefix, self.blas_threads_per_worker),
+            initargs=(self.blas_threads_per_worker,),
         )
         abandoned = False
         try:
@@ -746,7 +772,7 @@ class ProcessExecutor:
                         continue
                     for group, outcomes in zip(chunk, outcome_groups):
                         for index, outcome in zip(group, outcomes):
-                            results[index] = shm.resolve_outcome(outcome)
+                            results[index] = outcome
                 if (
                     not abandoned
                     and stall_after is not None

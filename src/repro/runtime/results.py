@@ -41,12 +41,9 @@ def encode_result(value: Any) -> tuple[dict, dict[str, np.ndarray]]:
     :class:`~repro.utils.serialization.SerializationError` for unsupported
     types.
 
-    The ``arrays`` half of this seam is also where the process pool's
-    shared-memory transport plugs in: a worker may replace a large ndarray
-    with a :data:`repro.runtime.shm.SHM_REF_KEY` segment reference
-    (:func:`repro.runtime.shm.export_outcome`) and the parent reattaches it
-    zero-copy (:func:`repro.runtime.shm.resolve_outcome`) *before* this
-    module ever decodes — :func:`decode_result` only sees real ndarrays.
+    Executors carry the pair as it is: the process pool returns it through
+    its result pipe and the service base64-encodes the arrays on the wire,
+    so :func:`decode_result` always sees real ndarrays.
     """
     from repro.circuits.density_matrix import DensityMatrix
     from repro.circuits.statevector import Statevector

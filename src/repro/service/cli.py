@@ -111,7 +111,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.runtime.shm import pin_blas_threads
+    from repro.runtime import pin_blas_threads
     from repro.service.protocol import default_socket_path
     from repro.service.worker import run_worker
 
@@ -448,7 +448,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
     cache_state = "writable" if cache["writable"] else (
         f"NOT WRITABLE ({cache.get('error')})")
     print(f"cache   {cache_state} at {cache['directory']}")
-    print(f"shm     {'enabled' if health['shm']['enabled'] else 'disabled'}")
     resilience = health.get("resilience") or {}
     print(f"resilience {int(resilience.get('retries', 0))} retries, "
           f"{int(resilience.get('fallbacks', 0))} fallbacks, "

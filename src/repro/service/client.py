@@ -277,8 +277,8 @@ class ServiceClient:
         return self._request("series", **fields)
 
     def health(self) -> dict:
-        """Degradation probe: queue depth, reaper lag, cache writability,
-        shm status and the ``resilience.*`` counters (plus ``healthy``)."""
+        """Degradation probe: queue depth, reaper lag, cache writability
+        and the ``resilience.*`` counters (plus ``healthy``)."""
         return self._request("health")
 
     def shutdown_daemon(self) -> dict:

@@ -256,7 +256,7 @@ class Daemon:
         if self.local_workers > 1:
             # Several worker threads share this process: a multi-threaded
             # BLAS underneath them would oversubscribe every core.
-            from repro.runtime.shm import pin_blas_threads
+            from repro.runtime import pin_blas_threads
 
             pin_blas_threads(1)
         self._threads = [
@@ -665,26 +665,43 @@ class Daemon:
         with self._lock:
             return {"workers": [info.to_dict() for info in self._workers.values()]}
 
+    def _snapshot(self) -> dict:
+        """Queue depth, worker presence and jobs by state; hold ``self._lock``.
+
+        The one count behind ``stats``, ``health`` and the sampler probe (so
+        ``series``, ``/metrics`` and ``top`` too): every view reads the same
+        numbers.
+        """
+        jobs = {state: 0 for state in J.JOB_STATES}
+        for job in self._jobs.values():
+            jobs[job.state] += 1
+        return {
+            "queue": {
+                "chunks_pending": len(self._chunks),
+                "chunks_leased": len(self._leases),
+                "points_pending": sum(len(c.indices) for c in self._chunks.values()),
+                "points_leased": sum(
+                    len(l.chunk.indices) for l in self._leases.values()
+                ),
+            },
+            "workers": {
+                "total": len(self._workers),
+                "busy": sum(1 for w in self._workers.values() if w.current_chunk),
+                "local": self.local_workers,
+            },
+            "jobs": jobs,
+        }
+
     def _op_stats(self, request: dict) -> dict:
         with self._lock:
-            by_state = {state: 0 for state in J.JOB_STATES}
-            for job in self._jobs.values():
-                by_state[job.state] += 1
-            pending_points = sum(len(c.indices) for c in self._chunks.values())
-            leased_points = sum(len(l.chunk.indices) for l in self._leases.values())
-            busy = sum(1 for w in self._workers.values() if w.current_chunk)
-            total_workers = len(self._workers)
+            state = self._snapshot()
+            workers = state["workers"]
             executed, cached = self._points_executed, self._points_from_cache
             stats = {
                 "pid": os.getpid(),
                 "uptime": time.time() - (self._started_at or time.time()),
-                "queue": {
-                    "chunks_pending": len(self._chunks),
-                    "chunks_leased": len(self._leases),
-                    "points_pending": pending_points,
-                    "points_leased": leased_points,
-                },
-                "jobs": by_state,
+                "queue": state["queue"],
+                "jobs": state["jobs"],
                 "points": {
                     "executed": executed,
                     "from_cache": cached,
@@ -694,10 +711,8 @@ class Daemon:
                     "dedup_hits": self._dedup_hits,
                 },
                 "workers": {
-                    "total": total_workers,
-                    "busy": busy,
-                    "utilization": busy / total_workers if total_workers else 0.0,
-                    "local": self.local_workers,
+                    **workers,
+                    "utilization": workers["busy"] / (workers["total"] or 1),
                 },
                 "phases": dict(self._phase_totals),
             }
@@ -723,23 +738,20 @@ class Daemon:
         headline), the rest as gauges.
         """
         with self._lock:
-            running = sum(1 for j in self._jobs.values() if j.state == J.RUNNING)
+            state = self._snapshot()
+            queue, workers = state["queue"], state["workers"]
             return {
                 "counters": {
                     "service.points_executed": float(self._points_executed),
                     "service.points_from_cache": float(self._points_from_cache),
                 },
                 "gauges": {
-                    "queue.points_pending": float(
-                        sum(len(c.indices) for c in self._chunks.values())
-                    ),
-                    "queue.chunks_pending": float(len(self._chunks)),
-                    "queue.chunks_leased": float(len(self._leases)),
-                    "workers.busy": float(
-                        sum(1 for w in self._workers.values() if w.current_chunk)
-                    ),
-                    "workers.total": float(len(self._workers)),
-                    "jobs.running": float(running),
+                    "queue.points_pending": float(queue["points_pending"]),
+                    "queue.chunks_pending": float(queue["chunks_pending"]),
+                    "queue.chunks_leased": float(queue["chunks_leased"]),
+                    "workers.busy": float(workers["busy"]),
+                    "workers.total": float(workers["total"]),
+                    "jobs.running": float(state["jobs"][J.RUNNING]),
                 },
             }
 
@@ -773,39 +785,25 @@ class Daemon:
         Reports queue depth, worker presence, reaper lag (a wedged reaper
         means expired leases never re-queue), an actual cache writability
         probe (write + read back + unlink of a marker file in the cache
-        directory), shared-memory transport status, and the zero-defaulted
-        ``resilience.*`` counters.  ``healthy`` is the conjunction of the
-        hard conditions — degraded-but-working states (fallbacks counted,
-        retries happening) keep ``healthy: true`` with the evidence
-        alongside, because degradation is survivable by design.
+        directory), and the zero-defaulted ``resilience.*`` counters.
+        ``healthy`` is the conjunction of the hard conditions —
+        degraded-but-working states (fallbacks counted, retries happening)
+        keep ``healthy: true`` with the evidence alongside, because
+        degradation is survivable by design.
         """
         now = time.time()
         with self._lock:
             reaper_lag = now - self._last_reap
             reaper_interval = max(0.05, min(1.0, self.lease_seconds / 4.0))
-            queue = {
-                "chunks_pending": len(self._chunks),
-                "chunks_leased": len(self._leases),
-                "points_pending": sum(len(c.indices) for c in self._chunks.values()),
-                "points_leased": sum(
-                    len(l.chunk.indices) for l in self._leases.values()
-                ),
-            }
-            workers = {
-                "total": len(self._workers),
-                "busy": sum(1 for w in self._workers.values() if w.current_chunk),
-                "local": self.local_workers,
-            }
+            state = self._snapshot()
         cache_ok, cache_error = self._probe_cache_writable()
-        from repro.runtime import shm
-
         reaper_ok = reaper_lag < max(5.0, 10.0 * reaper_interval)
         snapshot = metrics.snapshot()
         return {
             "pid": os.getpid(),
             "uptime": now - (self._started_at or now),
-            "queue": queue,
-            "workers": workers,
+            "queue": state["queue"],
+            "workers": state["workers"],
             "reaper": {
                 "lag_seconds": reaper_lag,
                 "interval_seconds": reaper_interval,
@@ -816,7 +814,6 @@ class Daemon:
                 "writable": cache_ok,
                 **({"error": cache_error} if cache_error else {}),
             },
-            "shm": {"enabled": shm.shm_enabled()},
             "resilience": _resilience_block(snapshot),
             "healthy": bool(cache_ok and reaper_ok and not self._stop.is_set()),
         }

@@ -6,7 +6,7 @@ Three small, zero-dependency pieces:
   with parent links and cross-process propagation, off by default
   (``REPRO_TRACE=1`` to enable), writing JSONL trace files per process;
 * :mod:`repro.telemetry.metrics` — always-on counters/gauges/histograms
-  (cache hits, shm bytes, fusion ratio, lease churn) with :func:`snapshot`;
+  (cache hits, fusion ratio, lease churn) with :func:`snapshot`;
 * :mod:`repro.telemetry.logs` — the ``repro.*`` logger hierarchy and the
   ``REPRO_LOG``-driven :func:`configure_logging` for entry points.
 

@@ -6,7 +6,7 @@ so importing the library stays silent, as a library should.  Entry points
 (the ``repro.runtime`` / ``repro.service`` / ``repro.telemetry`` CLIs and the
 daemon) call :func:`configure_logging` to attach a stderr handler whose level
 comes from ``REPRO_LOG`` (default ``WARNING``), which is how lost leases,
-reaped shm segments, and quarantined job files become visible.
+pool restarts, and quarantined job files become visible.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Complements :mod:`repro.telemetry.spans`: spans answer *where did the time
 go*, metrics answer *how often did the interesting thing happen* — cache
-hits vs. misses, bytes exported through shared memory, points fused into
-batched evolutions, compile-memo reuse, lease renewals and losses.
+hits vs. misses, points fused into batched evolutions, compile-memo reuse,
+lease renewals and losses.
 
 The registry is always on (an atomic dict update under a lock is cheap
 enough to not need the ``REPRO_TRACE`` gate), process-local, and reset
@@ -21,8 +21,9 @@ long-running daemons report recent percentiles, not all-time ones.
 
 The :data:`RESILIENCE_COUNTERS` names are the degraded-operation vocabulary
 shared by :mod:`repro.resilience` and the service ``stats``/``health`` ops:
-they count retried transients, degraded fallbacks (uncached results, pickle
-instead of shm), hung-point timeouts, and deliberately injected faults.
+they count retried transients, degraded fallbacks (unreadable cache entries
+recomputed, results left uncached), hung-point timeouts, and deliberately
+injected faults.
 """
 
 from __future__ import annotations

@@ -59,11 +59,3 @@ def assert_outcomes_identical(outcomes, expected) -> None:
             np.testing.assert_array_equal(
                 np.asarray(got_arrays[name]), np.asarray(want_arrays[name])
             )
-
-
-def shm_segments() -> "set[str]":
-    """Names of live repro shared-memory segments on this machine."""
-    root = Path("/dev/shm")
-    if not root.exists():
-        return set()
-    return {path.name for path in root.glob("repro_*")}

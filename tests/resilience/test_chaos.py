@@ -1,12 +1,11 @@
 """Certification: faulted 16-point sweeps are bit-identical to clean serial runs.
 
 Two stacks, same claim.  The pool certification injects a SIGKILLed worker
-and shared-memory exhaustion under the resilient :class:`ProcessExecutor`;
-the service certification runs a daemon plus two *subprocess* workers with a
-SIGKILLed worker, a torn cache write and injected client disconnects.  In
-both, the final results must match a fault-free serial run bit for bit, no
-shared-memory segment may leak, and the resilience counters must show the
-faults actually fired.
+under the resilient :class:`ProcessExecutor`; the service certification runs
+a daemon plus two *subprocess* workers with a SIGKILLed worker, a torn cache
+write and injected client disconnects.  In both, the final results must
+match a fault-free serial run bit for bit, and the resilience counters must
+show the faults actually fired.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from _chaos_helpers import (
     REPO_ROOT,
     assert_outcomes_identical,
     clean_serial,
-    shm_segments,
     sweep_payloads,
 )
 
@@ -36,23 +34,18 @@ def test_pool_chaos_certification(tmp_path, monkeypatch):
     payloads = sweep_payloads(repeats=2)  # 16 points
     assert len(payloads) == 16
     expected = clean_serial(payloads)
-    before = shm_segments()
     state = tmp_path / "chaos-state"
     monkeypatch.setenv(
-        "REPRO_FAULTS",
-        f"state={state};seed=3;"
-        "worker.execute:kill@once;"
-        "shm.export:raise=ENOSPC@every=2",
+        "REPRO_FAULTS", f"state={state};seed=3;worker.execute:kill@once"
     )
     executor = ProcessExecutor(2, point_timeout=10.0, max_restarts=2)
     outcomes = executor.map_specs(payloads)
     assert_outcomes_identical(outcomes, expected)
     # The SIGKILL really happened (fleet-wide marker claimed) and forced a
-    # pool restart; nothing timed out; no /dev/shm segment survived.
+    # pool restart; nothing timed out.
     assert (state / "worker.execute.0.fired").exists()
     assert metrics.counter("resilience.retries") >= 1
     assert metrics.counter("resilience.timeouts") == 0
-    assert shm_segments() <= before
 
 
 def test_service_chaos_certification(make_daemon, tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Graceful degradation: cache failures recompute, shm exhaustion re-pickles."""
+"""Graceful degradation: cache failures recompute or stay uncached."""
 
 from __future__ import annotations
 
@@ -7,16 +7,14 @@ import threading
 import time
 
 import numpy as np
-import pytest
 
 from repro.resilience import configure_faults
 from repro.runtime import Session
 from repro.runtime.cache import MISS, ResultCache
 from repro.runtime.results import encode_result
-from repro.runtime import shm
 from repro.telemetry import metrics
 
-from _chaos_helpers import make_problem
+from _chaos_helpers import assert_outcomes_identical, make_problem
 
 KEY = "ab" + "0" * 62
 
@@ -109,27 +107,31 @@ class TestCacheGetDegradation:
         assert metrics.counter("resilience.fallbacks") == 1
 
 
-class TestShmDegradation:
-    def test_export_exhaustion_falls_back_to_pickle(self):
-        if not shm.shm_enabled():
-            pytest.skip("shared-memory transport unavailable")
-        prefix = shm.make_prefix()
-        shm.activate_worker(prefix)
-        try:
-            big = np.arange(float(shm.min_shm_bytes() // 8 + 16))
-            outcome = {"ok": True, "result": {"kind": "ndarray"},
-                       "arrays": {"data": big}}
-            configure_faults("shm.export:raise=ENOSPC")
-            exported = shm.export_outcome(outcome)
-        finally:
-            shm.activate_worker(None)
-            shm.reap_prefix(prefix)
-        # The array rode the pickle pipe instead of a segment — same bytes.
-        assert not shm.is_ref(exported["arrays"]["data"])
-        np.testing.assert_array_equal(exported["arrays"]["data"], big)
-        assert metrics.counter("shm.export_fallbacks") == 1
-        assert metrics.counter("resilience.fallbacks") == 1
-        assert metrics.counter("shm.segments_exported") == 0
+class TestRemovedShmSite:
+    def test_a_stale_shm_export_rule_never_fires(self, tmp_path, monkeypatch):
+        import repro
+        from repro.runtime import ProcessExecutor, RunSpec
+        from repro.runtime.executor import execute_spec
+
+        # A chaos plan written for the removed transport still parses, but
+        # its site is gone: the large results come back untouched and the
+        # fleet-wide @once marker is never claimed.
+        labels = {"ZZIIIIIIII": 0.5, "IXXIIIIIII": 0.3, "IIIIIIIIZY": 0.2}
+        payloads = [
+            RunSpec(
+                problem=repro.SimulationProblem.from_labels(10, labels, time=0.1 * k),
+                backend="kernel",
+            ).to_dict(canonical=True)
+            for k in range(1, 5)
+        ]
+        expected = [execute_spec(payload) for payload in payloads]
+        state = tmp_path / "chaos-state"
+        monkeypatch.setenv(
+            "REPRO_FAULTS", f"state={state};shm.export:raise=ENOSPC@once"
+        )
+        outcomes = ProcessExecutor(2, chunk_size=1).map_specs(payloads)
+        assert_outcomes_identical(outcomes, expected)
+        assert not (state / "shm.export.0.fired").exists()
 
 
 class TestSessionDegradation:

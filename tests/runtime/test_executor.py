@@ -26,6 +26,18 @@ def problem(**kwargs):
     )
 
 
+def wide_kernel_payloads(count: int) -> "list[dict]":
+    """10-qubit kernel points, one plan group each: 16 KiB statevectors."""
+    labels = {"ZZIIIIIIII": 0.5, "IXXIIIIIII": 0.3, "IIIIIIIIZY": 0.2}
+    return [
+        RunSpec(
+            problem=repro.SimulationProblem.from_labels(10, labels, time=0.1 * k),
+            backend="kernel",
+        ).to_dict(canonical=True)
+        for k in range(1, count + 1)
+    ]
+
+
 class TestSerialExecutor:
     def test_map_preserves_order_and_reports_progress(self):
         seen = []
@@ -87,6 +99,12 @@ class TestProcessExecutor:
             ProcessExecutor(0)
         with pytest.raises(SpecError):
             ProcessExecutor(2, chunk_size=0)
+
+    def test_removed_use_shm_keyword_is_rejected(self):
+        # The pool has one result transport; the old switch must fail loudly
+        # rather than be accepted and ignored.
+        with pytest.raises(TypeError, match="use_shm"):
+            ProcessExecutor(2, use_shm=True)
 
 
 class TestResolveExecutor:
@@ -165,6 +183,27 @@ def _read_blas_env(_):
     import os
 
     return os.environ.get("OMP_NUM_THREADS")
+
+
+def _pin_and_read_blas(n):
+    """Pool-worker body: pin BLAS to ``n``, then read back env and OpenBLAS."""
+    import ctypes
+    import os
+
+    from repro.runtime import pin_blas_threads
+    from repro.runtime.executor import BLAS_ENV_VARS, _bundled_blas_libraries
+
+    pin_blas_threads(n)
+    loaded = []
+    for library in _bundled_blas_libraries():
+        handle = ctypes.CDLL(library)
+        for symbol in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads",
+                       "scipy_openblas_get_num_threads64_"):
+            getter = getattr(handle, symbol, None)
+            if getter is not None:
+                loaded.append(getter())
+    return {var: os.environ[var] for var in BLAS_ENV_VARS}, loaded
 
 
 class TestProgramMemoLRU:
@@ -374,12 +413,61 @@ class TestMapSpecs:
         chunks = executor._chunk_groups(groups, 6)
         assert chunks == [[[0, 1, 2]], [[3], [4, 5]]]
 
-    def test_use_shm_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        with pytest.raises(SpecError, match="use_shm"):
-            ProcessExecutor(2, use_shm=True)
+    def test_failing_point_is_captured_and_neighbours_land(self):
+        payloads = [
+            RunSpec(
+                problem=problem(), backend="sampling",
+                run_kwargs={"shots": -1 if index == 1 else 64, "rng": index},
+            ).to_dict(canonical=True)
+            for index in range(4)
+        ]
+        outcomes = ProcessExecutor(2, chunk_size=1).map_specs(payloads)
+        assert outcomes[1]["ok"] is False
+        assert "Traceback" in outcomes[1]["error"]["traceback"]
+        for index in (0, 2, 3):
+            reference = execute_spec(payloads[index])
+            assert outcomes[index]["ok"]
+            assert outcomes[index]["result"]["counts"] == reference["result"]["counts"]
+
+    def test_blas_threads_per_worker_validation(self):
         with pytest.raises(SpecError):
             ProcessExecutor(2, blas_threads_per_worker=0)
+
+    def test_large_statevectors_return_bit_identical(self):
+        import numpy as np
+
+        payloads = wide_kernel_payloads(4)
+        outcomes = ProcessExecutor(2, chunk_size=1).map_specs(payloads)
+        for outcome, payload in zip(outcomes, payloads):
+            reference = execute_spec(payload)["arrays"]["data"]
+            data = outcome["arrays"]["data"]
+            assert outcome["ok"]
+            # A plain, writable array straight off the result pipe.
+            assert type(data) is np.ndarray and data.flags.writeable
+            assert data.nbytes >= 1 << 14
+            assert data.dtype == reference.dtype and data.shape == reference.shape
+            assert np.array_equal(data, reference)
+
+    def test_removed_shm_variables_create_no_segments(self, monkeypatch):
+        from pathlib import Path
+
+        # Even the old "shared memory at every size" setting must leave
+        # /dev/shm alone, through clean points and a failing one alike.
+        monkeypatch.setenv("REPRO_SHM", "1")
+        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
+        root = Path("/dev/shm")
+
+        def segments() -> "set[str]":
+            return {p.name for p in root.glob("repro_*")} if root.exists() else set()
+
+        before = segments()
+        failing = RunSpec(
+            problem=problem(), backend="sampling", run_kwargs={"shots": -1}
+        ).to_dict(canonical=True)
+        payloads = wide_kernel_payloads(3) + [failing]
+        outcomes = ProcessExecutor(2, chunk_size=1).map_specs(payloads)
+        assert [outcome["ok"] for outcome in outcomes] == [True, True, True, False]
+        assert segments() - before == set()
 
 
 class TestWorkerHygiene:
@@ -389,10 +477,75 @@ class TestWorkerHygiene:
         from repro.runtime.executor import _worker_init
 
         with concurrent.futures.ProcessPoolExecutor(
-            2, initializer=_worker_init, initargs=(None, 1)
+            2, initializer=_worker_init, initargs=(1,)
         ) as pool:
             values = list(pool.map(_read_blas_env, [0, 1, 2]))
         assert values == ["1", "1", "1"]
+
+    def test_pin_blas_threads_clamps_and_reaches_loaded_blas(self):
+        import concurrent.futures
+
+        # A forked worker inherits an initialized OpenBLAS that no longer
+        # reads the environment; pinning must reach it through ctypes too.
+        # A request below one thread is clamped to one.
+        with concurrent.futures.ProcessPoolExecutor(1) as pool:
+            env, loaded = pool.submit(_pin_and_read_blas, 0).result()
+        assert set(env.values()) == {"1"}
+        assert all(threads == 1 for threads in loaded)
+
+    def test_shm_surface_is_gone_and_blas_pinning_stays_exported(self):
+        import importlib
+
+        import repro.runtime as runtime
+        from repro.runtime import executor as executor_module
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.runtime.shm")
+        for name in ("SHM_ENV", "SHM_MIN_BYTES_ENV", "shm_enabled", "reap_orphans"):
+            assert not hasattr(runtime, name)
+            assert name not in runtime.__all__
+        assert runtime.pin_blas_threads is executor_module.pin_blas_threads
+        assert "pin_blas_threads" in runtime.__all__
+
+    def test_pool_leaves_no_resource_tracker(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        # A fresh interpreter: no earlier test has started a tracker in it.
+        # Four 10-qubit kernel points in four plan groups, so both workers
+        # return 16 KiB statevectors.
+        script = """
+import multiprocessing
+from multiprocessing import resource_tracker
+
+import repro
+from repro.runtime import ProcessExecutor, RunSpec
+
+labels = {"ZZIIIIIIII": 0.5, "IXXIIIIIII": 0.3, "IIIIIIIIZY": 0.2}
+payloads = [
+    RunSpec(
+        problem=repro.SimulationProblem.from_labels(10, labels, time=0.1 * k),
+        backend="kernel",
+    ).to_dict(canonical=True)
+    for k in range(1, 5)
+]
+outcomes = ProcessExecutor(2, chunk_size=1).map_specs(payloads)
+assert all(outcome["ok"] for outcome in outcomes)
+assert all(outcome["arrays"]["data"].nbytes >= 1 << 14 for outcome in outcomes)
+assert resource_tracker._resource_tracker._pid is None, "resource tracker started"
+assert multiprocessing.active_children() == []
+"""
+        src = Path(repro.__file__).resolve().parent.parent
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 # ---------------------------------------------------------------------------

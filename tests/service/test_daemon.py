@@ -465,6 +465,27 @@ class TestPriorityAndOps:
                                         "dedup_hits"}
         assert set(stats["cache"]) >= {"entries", "total_bytes", "hits", "misses"}
 
+    def test_stats_health_and_sampler_share_one_snapshot(self, make_daemon):
+        daemon = make_daemon(local_workers=0, chunk_size=2)
+        submit(daemon, sweep_spec())  # 4 points in 2 chunks
+        # kind="local": no remote worker for the shutdown drain to wait on.
+        claim = daemon.handle({"op": "claim", "worker": "w", "kind": "local"})
+        assert len(claim["payloads"]) == 2
+        stats = daemon.handle({"op": "stats"})
+        health = daemon.handle({"op": "health"})
+        gauges = daemon._sampler_probe()["gauges"]
+        queue = {"chunks_pending": 1, "chunks_leased": 1,
+                 "points_pending": 2, "points_leased": 2}
+        assert stats["queue"] == health["queue"] == queue
+        assert (gauges["queue.chunks_pending"], gauges["queue.chunks_leased"],
+                gauges["queue.points_pending"]) == (1, 1, 2)
+        for view in (stats["workers"], health["workers"]):
+            assert (view["total"], view["busy"], view["local"]) == (1, 1, 0)
+        assert (gauges["workers.total"], gauges["workers.busy"]) == (1, 1)
+        assert stats["jobs"]["running"] == gauges["jobs.running"] == 1
+        assert set(health) == {"pid", "uptime", "queue", "workers", "reaper",
+                               "cache", "resilience", "healthy", "ok"}
+
     def test_second_daemon_on_same_socket_is_refused(self, make_daemon):
         daemon = make_daemon(local_workers=0)
         from repro.service.daemon import Daemon

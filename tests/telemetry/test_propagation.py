@@ -45,6 +45,19 @@ class TestPoolPropagation:
         worker_pids = {p["pid"] for p in points}
         assert root["pid"] not in worker_pids  # work really ran out-of-process
 
+    def test_pool_results_need_no_transport_spans(self, traced):
+        from repro.telemetry import metrics
+
+        # Outcomes ride the pool's result pipe: no export/resolve step to
+        # trace in the worker or the parent, and no shm.* bookkeeping.
+        outcomes = ProcessExecutor(2, chunk_size=1).map_specs(payloads_for(4))
+        assert all(o["ok"] for o in outcomes)
+        names = {s["name"] for s in load_trace_dir(traced)}
+        assert {"pool.map_specs", "execute.point"} <= names
+        assert not [name for name in names if name.startswith("transport.")]
+        counters = metrics.snapshot()["counters"]
+        assert not [name for name in counters if name.startswith("shm.")]
+
     def test_untraced_pool_run_stays_silent(self, tmp_path, monkeypatch):
         monkeypatch.setenv(telemetry.TRACE_DIR_ENV, str(tmp_path))
         outcomes = ProcessExecutor(2, chunk_size=1).map_specs(payloads_for(2))
