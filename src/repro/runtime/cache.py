@@ -14,9 +14,14 @@ Configuration follows the environment:
 * ``REPRO_CACHE_MAX_BYTES`` — size cap (default 2 GiB; ``0`` disables
   eviction).
 
-Only the parent process writes the cache (workers return payloads over the
-pipe), and every write is atomic (temp file + ``os.replace``), so concurrent
-sessions never observe a torn entry.
+Pool workers never write the cache (they return payloads over the pipe);
+sessions and the daemon's threads do, and several of them may share one
+directory.  Every write goes through a temp file named for its writer
+(process and thread id) and ``os.replace``, so two writers of the same key
+never truncate or rename each other's temp file, and a reader sees either a
+whole file or none.  An entry can still be torn — an ``.npz`` whose sidecar
+is not written yet, or a sidecar whose ``.npz`` a concurrent eviction
+removed — and a torn entry reads as a miss, which recomputes.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import threading
 import time
 import zipfile
 from dataclasses import dataclass
@@ -58,6 +64,14 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env).expanduser()
     return Path.home() / ".cache" / "repro"
+
+
+def _writer_tmp(path: Path) -> Path:
+    """This writer's temp file for ``path``: ``<name>.<pid>.<thread id>.tmp``.
+
+    Never matches the ``*.json``/``*.npz`` globs that list entries.
+    """
+    return path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
 
 
 @dataclass(frozen=True)
@@ -208,10 +222,9 @@ class ResultCache:
 
     def _cleanup_partial(self, key: str) -> None:
         """Best-effort removal of a failed put's temp files (never raises)."""
-        sidecar, npz = self._paths(key)
-        for tmp in (npz.with_suffix(".npz.tmp"), sidecar.with_suffix(".json.tmp")):
+        for tmp in self._paths(key):
             try:
-                tmp.unlink()
+                _writer_tmp(tmp).unlink()
             except OSError:
                 pass
 
@@ -227,7 +240,7 @@ class ResultCache:
         sidecar, npz = self._paths(key)
         sidecar.parent.mkdir(parents=True, exist_ok=True)
         if arrays:
-            tmp_npz = npz.with_suffix(".npz.tmp")
+            tmp_npz = _writer_tmp(npz)
             with open(tmp_npz, "wb") as handle:
                 np.savez(handle, **arrays)
             os.replace(tmp_npz, npz)
@@ -242,7 +255,7 @@ class ResultCache:
             "label": label,
             "created": time.time(),
         }
-        tmp_json = sidecar.with_suffix(".json.tmp")
+        tmp_json = _writer_tmp(sidecar)
         tmp_json.write_text(json.dumps(payload))
         os.replace(tmp_json, sidecar)
         if self.max_bytes:

@@ -23,9 +23,11 @@ Every chunk claim carries a lease, which both kinds of worker renew by
 heartbeat between batch groups; a worker that dies mid-chunk simply stops
 renewing and the reaper re-queues the chunk (execution is deterministic and
 cache writes are idempotent, so re-running a chunk is always safe).  Job
-state is persisted after every transition through
-:class:`~repro.service.jobs.JobStore`, and a restarted daemon re-queues
-whatever had not finished.  Results are never held in daemon memory: each
+state persists through :class:`~repro.service.jobs.JobStore`: a snapshot at
+submit, first claim, finalize, cancel, recovery and shutdown, and one
+journal line per chunk completed in between, written before ``complete``
+answers.  A restarted daemon replays the journals and re-queues whatever
+had not finished.  Results are never held in daemon memory: each
 successful point lands in the content-addressed cache under its own key, so
 a resubmission of the same spec — by any client — is served entirely from
 the cache without re-entering the queue.
@@ -298,7 +300,10 @@ class Daemon:
             probe.close()
 
     def _recover(self) -> None:
-        """Reload state files; re-queue whatever had not finished."""
+        """Reload snapshots and journals; re-queue whatever had not finished.
+
+        The snapshot saved here for every unfinished job compacts its journal.
+        """
         for job in self.store.load_all():
             self._jobs[job.job_id] = job
             if job.terminal:
@@ -903,33 +908,56 @@ class Daemon:
     def _complete(
         self, worker_id: str, chunk_id: str, outcomes: "list[dict]"
     ) -> dict:
-        """Apply a (possibly partial) chunk's outcomes; cache and persist."""
+        """Apply a (possibly partial) chunk's outcomes: check, write, apply.
+
+        1. Under the lock, check that the caller holds the chunk's lease and
+           collect the successful outcomes of points still pending.
+        2. Outside the lock, write those results to the cache, so claims,
+           heartbeats and waits never queue behind the file writes.
+        3. Under the lock again, re-check the lease: it may have been reaped
+           or cancelled meanwhile, and then the completion is discarded and
+           all it leaves is a content-addressed cache entry, which is
+           harmless.  Otherwise release the lease, flip the point statuses
+           and persist them: one journal line, or the snapshot when the
+           completion finishes the job.
+
+        A completion from a worker that does not hold the lease is discarded
+        without touching the holder's lease.
+        """
         with self._lock:
-            lease = self._leases.pop(chunk_id, None)
+            lease = self._held_lease(worker_id, chunk_id)
+            if lease is None:
+                return {"applied": 0, "discarded": True}
+            job = self._jobs[lease.chunk.job_id]
+            writes = [
+                (job.points[index], outcome)
+                for index, outcome in zip(lease.chunk.indices, outcomes)
+                if outcome.get("ok") and job.points[index].status == J.PENDING
+            ]
+        uncached = set()
+        for point, outcome in writes:
+            self.cache.put_encoded(
+                point.key, outcome["result"], outcome.get("arrays", {}),
+                label=point.label,
+            )
+            if point.key not in self.cache:
+                uncached.add(point.key)
+        with self._lock:
+            if self._held_lease(worker_id, chunk_id) is not lease:
+                return {"applied": 0, "discarded": True}
+            del self._leases[chunk_id]
             info = self._workers.get(worker_id)
             if info is not None and info.current_chunk == chunk_id:
                 info.current_chunk = None
-            if lease is None or lease.worker_id != worker_id:
-                # The lease was reaped (slow worker) or the job was cancelled;
-                # the chunk either re-ran elsewhere or must not land at all.
-                return {"applied": 0, "discarded": True}
             chunk = lease.chunk
-            job = self._jobs.get(chunk.job_id)
-            if job is None or job.state == J.CANCELLED:
-                return {"applied": 0, "discarded": True}
-            applied = 0
+            job = self._jobs[chunk.job_id]
+            applied = []
             for index, outcome in zip(chunk.indices, outcomes):
                 point = job.points[index]
                 if point.status != J.PENDING:
                     continue  # a redundant re-execution already landed
                 if outcome.get("ok"):
-                    self.cache.put_encoded(
-                        point.key,
-                        outcome["result"],
-                        outcome.get("arrays", {}),
-                        label=point.label,
-                    )
-                    if point.key not in self.cache:
+                    if point.key in uncached:
                         # The put degraded (full/torn store).  Retain the only
                         # copy so retrieval serves it instead of a cache miss.
                         self._uncached_results[point.key] = (
@@ -956,11 +984,10 @@ class Daemon:
                         self._phase_totals[phase] = (
                             self._phase_totals.get(phase, 0.0) + seconds
                         )
-                applied += 1
-                self._points_executed += 1
-                if info is not None:
-                    info.points_completed += 1
+                applied.append(index)
+            self._points_executed += len(applied)
             if info is not None:
+                info.points_completed += len(applied)
                 info.chunks_completed += 1
             leftover = chunk.indices[len(outcomes) :]
             leftover = [i for i in leftover if job.points[i].status == J.PENDING]
@@ -970,9 +997,22 @@ class Daemon:
                 self._work.notify_all()
             if not job.pending_indices() and not self._job_has_leases(job.job_id):
                 self._finalize(job)
-            self.store.save(job)
+                self.store.save(job)
+            elif applied:
+                self.store.append(job, applied)
             self._changed.notify_all()
-            return {"applied": applied, "discarded": False}
+            return {"applied": len(applied), "discarded": False}
+
+    def _held_lease(self, worker_id: str, chunk_id: str) -> "Lease | None":
+        """``chunk_id``'s lease if ``worker_id`` holds it on a live job."""
+        lease = self._leases.get(chunk_id)
+        if lease is None or lease.worker_id != worker_id:
+            # Reaped (slow worker), cancelled, or never this worker's.
+            return None
+        job = self._jobs.get(lease.chunk.job_id)
+        if job is None or job.state == J.CANCELLED:
+            return None
+        return lease
 
     def _job_has_leases(self, job_id: str) -> bool:
         return any(lease.chunk.job_id == job_id for lease in self._leases.values())

@@ -10,9 +10,11 @@ second submission becomes a dedup hit instead of duplicate work.
 Jobs move through ``queued → running → done | failed | cancelled``.  Each
 grid point carries its own status (``pending → ok | failed | cancelled``)
 with captured error tracebacks, so one diverging point never poisons the
-job's other results.  Every state transition is persisted as an atomic JSON
-state file under ``<service dir>/jobs/`` — the daemon recovers in-flight jobs
-from these files on restart and re-queues whatever had not finished.
+job's other results.  A job persists under ``<service dir>/jobs/`` as an
+atomic JSON snapshot plus an append-only completion journal: a completed
+chunk appends one line of point outcomes instead of rewriting the whole
+job, and the next snapshot compacts the journal away.  The daemon reloads
+both on restart and re-queues whatever had not finished.
 """
 
 from __future__ import annotations
@@ -288,7 +290,18 @@ def job_from_batch(payloads: "list[dict]", *, priority: int = 0) -> Job:
 
 
 class JobStore:
-    """Atomic per-job JSON state files under one directory."""
+    """Per-job JSON snapshots and completion journals under one directory.
+
+    :meth:`save` writes ``<job_id>.json`` atomically (temp file +
+    ``os.replace``) and then removes ``<job_id>.journal``, whose lines the
+    snapshot now holds.  :meth:`append` adds one line to the journal per
+    completed chunk.  :meth:`load` and :meth:`load_all` replay the journal
+    over the snapshot, in file order and only onto points still pending, so
+    lines left behind by a crash between the two steps of a save replay
+    harmlessly.  Replay stops at the first line that does not decode or does
+    not fit the job (a torn tail from a crash mid-append): its points stay
+    pending and re-run.
+    """
 
     def __init__(self, directory: "str | Path"):
         self.directory = Path(directory)
@@ -296,27 +309,70 @@ class JobStore:
     def _path(self, job_id: str) -> Path:
         return self.directory / f"{job_id}.json"
 
+    def _journal(self, job_id: str) -> Path:
+        return self.directory / f"{job_id}.journal"
+
     def save(self, job: Job) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(job.job_id)
         tmp = path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(job.to_dict()))
         os.replace(tmp, path)
+        _unlink(self._journal(job.job_id))
+
+    def append(self, job: Job, indices: "list[int]") -> None:
+        """Journal the outcomes of ``job.points[i]`` for each ``i`` as one line.
+
+        Each point is ``[index, status, error, wall_time, timings]``: no
+        payloads, no arrays.  The file is closed (flushed to the OS) before
+        this returns.
+        """
+        entries = []
+        for index in indices:
+            point = job.points[index]
+            entries.append(
+                [index, point.status, point.error, point.wall_time, point.timings]
+            )
+        with open(self._journal(job.job_id), "a") as handle:
+            handle.write(json.dumps(entries) + "\n")
+
+    def _replay(self, job: Job) -> Job:
+        path = self._journal(job.job_id)
+        try:
+            lines = path.read_bytes().splitlines()
+        except FileNotFoundError:
+            return job
+        for number, line in enumerate(lines, start=1):
+            try:
+                entries = _journal_entries(line, len(job.points))
+            except (ValueError, TypeError) as exc:
+                logger.warning(
+                    "journal %s stops at line %d of %d (%s); its points re-run",
+                    path.name, number, len(lines), exc,
+                )
+                break
+            for index, status, error, wall_time, timings in entries:
+                point = job.points[index]
+                if point.status == PENDING:
+                    point.status, point.error = status, error
+                    point.wall_time, point.timings = wall_time, timings
+        return job
 
     def load(self, job_id: str) -> "Job | None":
         try:
-            return Job.from_dict(json.loads(self._path(job_id).read_text()))
+            job = Job.from_dict(json.loads(self._path(job_id).read_text()))
         except FileNotFoundError:
             return None
         except (json.JSONDecodeError, KeyError) as exc:
             raise ServiceError(f"corrupt job state file for {job_id}: {exc}") from exc
+        return self._replay(job)
 
     def load_all(self) -> "list[Job]":
-        """Every readable state file, oldest submission first."""
+        """Every readable job, journal replayed, oldest submission first."""
         jobs = []
         for path in sorted(self.directory.glob("*.json")):
             try:
-                jobs.append(Job.from_dict(json.loads(path.read_text())))
+                job = Job.from_dict(json.loads(path.read_text()))
             except (json.JSONDecodeError, KeyError, ServiceError):
                 # A torn write from a crashed daemon: quarantine, don't crash.
                 logger.warning(
@@ -325,10 +381,36 @@ class JobStore:
                     path.with_suffix(".json.corrupt").name,
                 )
                 path.rename(path.with_suffix(".json.corrupt"))
+                journal = self._journal(path.stem)
+                if journal.exists():
+                    journal.rename(journal.with_suffix(".journal.corrupt"))
+                continue
+            jobs.append(self._replay(job))
         return sorted(jobs, key=lambda job: job.created)
 
     def delete(self, job_id: str) -> None:
-        try:
-            self._path(job_id).unlink()
-        except FileNotFoundError:
-            pass
+        _unlink(self._path(job_id))
+        _unlink(self._journal(job_id))
+
+
+def _journal_entries(line: bytes, num_points: int) -> list:
+    """One journal line's entries, checked against a job of ``num_points``."""
+    entries = json.loads(line)
+    if not isinstance(entries, list):
+        raise ValueError("not a list of point outcomes")
+    checked = []
+    for entry in entries:
+        index, status, error, wall_time, timings = entry
+        if type(index) is not int or not 0 <= index < num_points:
+            raise ValueError(f"point index {index!r} out of range")
+        if status not in (OK, POINT_FAILED):
+            raise ValueError(f"unknown point status {status!r}")
+        checked.append((index, status, error, float(wall_time), timings))
+    return checked
+
+
+def _unlink(path: Path) -> None:
+    try:
+        path.unlink()
+    except FileNotFoundError:
+        pass

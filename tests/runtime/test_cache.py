@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -218,3 +220,49 @@ class TestRemovalHygiene:
         assert cache.clear() == 2  # one live entry + one orphan npz
         assert cache.stats()["entries"] == 0
         assert not list(cache.directory.glob("*.npz"))
+
+
+class TestConcurrentWriters:
+    def test_same_key_writers_use_separate_temp_files(self, cache):
+        # Two writers of one key: two sessions sharing a directory, or two
+        # daemon threads writing outside the daemon's lock.  Neither may
+        # truncate or rename the other's temp file, and a reader beside them
+        # sees either a miss or the whole entry.
+        from repro.telemetry import metrics
+
+        data = np.exp(1j * np.linspace(0.0, 3.0, 256)) / 16.0
+        meta, arrays = encode_result(repro.Statevector(data))
+        failures = metrics.counter("cache.put_failures")
+        stop = threading.Event()
+        torn_reads = []
+
+        def write():
+            for _ in range(250):
+                cache.put_encoded(key_of(1), meta, arrays)
+
+        def read():
+            while not stop.is_set():
+                value = cache.get(key_of(1))
+                if value is not MISS and not np.array_equal(value.data, data):
+                    torn_reads.append(value)
+
+        reader = threading.Thread(target=read, daemon=True)
+        writers = [threading.Thread(target=write, daemon=True) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the writers' steps finely
+        try:
+            reader.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60.0)
+            stop.set()
+            reader.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in (reader, *writers))
+        assert metrics.counter("cache.put_failures") == failures
+        assert torn_reads == []
+        back = cache.get(key_of(1))
+        assert back.data.tobytes() == data.tobytes()
+        assert list(cache.directory.rglob("*.tmp")) == []

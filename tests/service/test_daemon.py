@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -10,7 +11,9 @@ import pytest
 from repro.runtime import RunSpec, SweepSpec
 from repro.runtime.executor import execute_spec
 from repro.service import jobs as J
-from repro.service.protocol import outcome_to_wire
+from repro.service.daemon import Daemon
+from repro.service.jobs import JobStore
+from repro.service.protocol import decode_arrays, outcome_to_wire
 
 from _service_helpers import make_problem, wait_until
 
@@ -28,6 +31,19 @@ def submit(daemon, spec, **fields):
     response = daemon.handle({"op": "submit", "spec": spec.to_dict(), **fields})
     assert response["ok"], response
     return response
+
+
+def claim_and_complete(daemon, worker="w"):
+    """Claim one chunk, execute it in-process and complete it; the claim."""
+    claim = daemon.handle({"op": "claim", "worker": worker})
+    if "chunk_id" in claim:
+        outcomes = [outcome_to_wire(execute_spec(p)) for p in claim["payloads"]]
+        done = daemon.handle({
+            "op": "complete", "worker": worker,
+            "chunk_id": claim["chunk_id"], "outcomes": outcomes,
+        })
+        assert done["applied"] == len(outcomes), done
+    return claim
 
 
 class TestSubmitAndExecute:
@@ -218,6 +234,65 @@ class TestWorkerDeath:
         })
         assert late["discarded"]
 
+    def test_completion_from_a_non_holder_leaves_the_lease(self, make_daemon):
+        daemon = make_daemon(local_workers=0, chunk_size=2)
+        ack = submit(daemon, sweep_spec(steps=(1, 2)))  # one chunk of 2
+        claim = daemon.handle({"op": "claim", "worker": "holder"})
+        outcomes = [outcome_to_wire(execute_spec(p)) for p in claim["payloads"]]
+        intruder = daemon.handle({
+            "op": "complete", "worker": "intruder",
+            "chunk_id": claim["chunk_id"], "outcomes": outcomes,
+        })
+        assert intruder["discarded"] and intruder["applied"] == 0
+        # The holder's lease survives the intrusion...
+        beat = daemon.handle(
+            {"op": "heartbeat", "worker": "holder", "chunk_id": claim["chunk_id"]}
+        )
+        assert not beat["cancelled"]
+        # ...so its own completion lands and the job finishes.
+        done = daemon.handle({
+            "op": "complete", "worker": "holder",
+            "chunk_id": claim["chunk_id"], "outcomes": outcomes,
+        })
+        assert done["applied"] == 2 and not done["discarded"]
+        assert daemon.handle({"op": "status", "job_id": ack["job_id"]})["state"] == "done"
+
+    def test_lease_lost_during_the_cache_write_discards_the_completion(
+        self, make_daemon
+    ):
+        daemon = make_daemon(local_workers=0, chunk_size=2)
+        ack = submit(daemon, sweep_spec(steps=(1, 2)))
+        claim = daemon.handle({"op": "claim", "worker": "w"})
+        outcomes = [outcome_to_wire(execute_spec(p)) for p in claim["payloads"]]
+        real_put = daemon.cache.put_encoded
+        lock_free = []
+
+        def put_then_cancel(*args, **kwargs):
+            real_put(*args, **kwargs)
+            # Cancel from another thread: it gets the lock only if the
+            # cache write runs outside it.
+            cancel = threading.Thread(
+                target=daemon.handle,
+                args=({"op": "cancel", "job_id": ack["job_id"]},),
+                daemon=True,
+            )
+            cancel.start()
+            cancel.join(timeout=5.0)
+            lock_free.append(not cancel.is_alive())
+
+        daemon.cache.put_encoded = put_then_cancel
+        done = daemon.handle({
+            "op": "complete", "worker": "w",
+            "chunk_id": claim["chunk_id"], "outcomes": outcomes,
+        })
+        assert lock_free and all(lock_free)
+        assert done["discarded"] and done["applied"] == 0
+        status = daemon.handle({"op": "status", "job_id": ack["job_id"]})
+        assert status["state"] == "cancelled" and status["done"] == 0
+        # All the lost completion leaves is a content-addressed cache entry.
+        assert all(RunSpec.from_dict(p).content_key() in daemon.cache
+                   for p in claim["payloads"])
+
 
 class TestRestartRecovery:
     def test_unfinished_job_requeues_on_restart(self, make_daemon):
@@ -253,6 +328,79 @@ class TestRestartRecovery:
         assert status["succeeded"] == spec.num_points
         stats = second.handle({"op": "stats"})
         assert stats["points"]["executed"] == spec.num_points - len(outcomes)
+
+
+class TestJournal:
+    """Completions persist as journal lines between job snapshots."""
+
+    @staticmethod
+    def crash_after_two_chunks():
+        """An 8-point job with 2 of its 4 chunks completed, then no shutdown.
+
+        The daemon is never started or shut down, so the only record of the
+        two completions is what ``complete`` wrote before returning.
+        """
+        crashed = Daemon(local_workers=0, chunk_size=2)
+        ack = submit(crashed, sweep_spec(steps=tuple(range(1, 9))))
+        for _ in range(2):
+            claim_and_complete(crashed)
+        return crashed, ack["job_id"]
+
+    @staticmethod
+    def assert_finishes(daemon, job_id, *, executed):
+        status = wait_until(
+            lambda: (s := daemon.handle({"op": "status", "job_id": job_id}))
+            and s["state"] == "done" and s
+        )
+        assert status["succeeded"] == 8
+        assert daemon.handle({"op": "stats"})["points"]["executed"] == executed
+        outcomes = daemon.handle({"op": "result", "job_id": job_id})["outcomes"]
+        for outcome, point in zip(outcomes, daemon._jobs[job_id].points):
+            reference = execute_spec(point.payload)
+            assert outcome["ok"] and outcome["result"] == reference["result"]
+            arrays = decode_arrays(outcome["arrays"])
+            assert arrays.keys() == reference["arrays"].keys()
+            for name, array in reference["arrays"].items():
+                assert arrays[name].tobytes() == array.tobytes()
+
+    def test_restart_after_a_crash_resumes_from_the_journal(self, make_daemon):
+        _, job_id = self.crash_after_two_chunks()
+        self.assert_finishes(make_daemon(local_workers=1), job_id, executed=4)
+
+    def test_torn_last_line_re_runs_only_its_chunk(self, make_daemon, caplog):
+        crashed, job_id = self.crash_after_two_chunks()
+        journal = crashed.store.directory / f"{job_id}.journal"
+        first, second = journal.read_bytes().splitlines()
+        journal.write_bytes(first + b"\n" + second[: len(second) // 2])
+        self.assert_finishes(make_daemon(local_workers=1), job_id, executed=6)
+        assert "stops at line 2 of 2" in caplog.text
+
+    def test_completion_is_on_disk_when_complete_returns(self, make_daemon):
+        daemon = make_daemon(local_workers=0, chunk_size=2)
+        ack = submit(daemon, sweep_spec())
+        claim_and_complete(daemon)
+        fresh = JobStore(daemon.store.directory).load(ack["job_id"])
+        assert [p.status for p in fresh.points] == ["ok", "ok", "pending", "pending"]
+        assert all(p.wall_time > 0 for p in fresh.points[:2])
+
+    def test_snapshots_per_job_do_not_grow_with_its_size(self, make_daemon):
+        daemon = make_daemon(local_workers=0, chunk_size=2)
+        real_save = daemon.store.save
+
+        def lifecycle(spec):
+            saves = []
+            daemon.store.save = lambda job: (saves.append(job.state), real_save(job))
+            try:
+                submit(daemon, spec)
+                while "chunk_id" in claim_and_complete(daemon):
+                    pass
+            finally:
+                del daemon.store.save
+            return saves
+
+        small = lifecycle(sweep_spec(steps=(1, 2, 3, 4)))
+        large = lifecycle(sweep_spec(steps=tuple(range(1, 17))))
+        assert small == large == ["queued", "running", "done"]
 
 
 class _Waiter:
@@ -386,6 +534,26 @@ class TestLocalWorkers:
         assert info["chunks_completed"] == 2 and info["points_completed"] == 4
         # One heartbeat between the two groups of each chunk.
         assert metrics.counter("service.lease_renewals") - renewals >= 2
+
+    def test_concurrent_completions_land_each_point_once(self, make_daemon):
+        # More worker threads than cores, each writing the cache outside
+        # the daemon's lock: every point must be applied exactly once.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            daemon = make_daemon(local_workers=4, chunk_size=1)
+            ack = submit(daemon, sweep_spec(steps=tuple(range(1, 17))))
+            status = wait_until(
+                lambda: (s := daemon.handle({"op": "status", "job_id": ack["job_id"]}))
+                and s["state"] in ("done", "failed") and s, timeout=60.0,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert status["state"] == "done" and status["succeeded"] == 16
+        assert daemon.handle({"op": "stats"})["points"]["executed"] == 16
+        workers = daemon.handle({"op": "workers"})["workers"]
+        assert sum(w["points_completed"] for w in workers) == 16
+        assert sum(w["chunks_completed"] for w in workers) == 16
 
     def test_idle_wait_returns_at_once_when_work_is_queued(self, make_daemon):
         daemon = make_daemon(local_workers=0)

@@ -125,3 +125,100 @@ class TestJobStore:
         store.delete(job.job_id)
         store.delete(job.job_id)
         assert store.load(job.job_id) is None
+
+
+class TestJournal:
+    @staticmethod
+    def saved_job(store):
+        job = job_from_spec(
+            SweepSpec(problem=problem(), steps=(1, 2, 3, 4)).to_dict()
+        )
+        store.save(job)
+        return job
+
+    @staticmethod
+    def complete(job, index, status=J.OK):
+        point = job.points[index]
+        point.status = status
+        point.wall_time = 0.25 + index
+        point.timings = {"execute": 0.125 * index}
+        if status == J.POINT_FAILED:
+            point.error = {"type": "E", "message": "m", "traceback": "tb"}
+
+    def test_save_append_load_round_trip(self, tmp_path):
+        store = JobStore(tmp_path / "jobs")
+        job = self.saved_job(store)
+        self.complete(job, 0)
+        self.complete(job, 1, J.POINT_FAILED)
+        store.append(job, [0, 1])
+        self.complete(job, 3)
+        store.append(job, [3])
+        assert store.load(job.job_id).to_dict() == job.to_dict()
+        assert [j.to_dict() for j in store.load_all()] == [job.to_dict()]
+
+    def test_save_compacts_and_delete_removes_both_files(self, tmp_path):
+        store = JobStore(tmp_path / "jobs")
+        job = self.saved_job(store)
+        journal = tmp_path / "jobs" / f"{job.job_id}.journal"
+        self.complete(job, 0)
+        store.append(job, [0])
+        assert journal.exists()
+        store.save(job)
+        assert not journal.exists()
+        assert store.load(job.job_id).to_dict() == job.to_dict()
+        store.append(job, [0])
+        store.delete(job.job_id)
+        assert list((tmp_path / "jobs").iterdir()) == []
+
+    def test_lines_already_in_the_snapshot_replay_harmlessly(self, tmp_path):
+        # A crash between a save's os.replace and its journal unlink leaves
+        # lines the snapshot already holds; replay skips finished points.
+        store = JobStore(tmp_path / "jobs")
+        job = self.saved_job(store)
+        self.complete(job, 0)
+        store.append(job, [0])
+        journal = tmp_path / "jobs" / f"{job.job_id}.journal"
+        leftover = journal.read_bytes()
+        store.save(job)
+        stale = [[0, J.POINT_FAILED, None, 9.0, None]]
+        journal.write_bytes(leftover + json.dumps(stale).encode() + b"\n")
+        assert store.load(job.job_id).to_dict() == job.to_dict()
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            b'[[1, "ok", null, 0.5',  # torn mid-append
+            b'[[99, "ok", null, 0.5, null]]',  # index out of range
+            b'[[1, "cancelled", null, 0.5, null]]',  # not a completion status
+            b'[[1, "ok"]]',  # wrong entry shape
+            b'{"1": "ok"}',  # not a list of entries
+        ],
+        ids=["torn", "index", "status", "shape", "type"],
+    )
+    def test_replay_stops_at_the_first_line_that_does_not_fit(
+        self, tmp_path, caplog, bad_line
+    ):
+        store = JobStore(tmp_path / "jobs")
+        job = self.saved_job(store)
+        self.complete(job, 0)
+        store.append(job, [0])
+        journal = tmp_path / "jobs" / f"{job.job_id}.journal"
+        good = json.dumps([[2, J.OK, None, 0.5, None]]).encode()
+        with open(journal, "ab") as handle:
+            handle.write(bad_line + b"\n" + good + b"\n")
+        loaded = store.load(job.job_id)
+        # Line 1 applied; line 2 ended replay, so line 3 never landed.
+        assert [p.status for p in loaded.points] == ["ok", "pending", "pending", "pending"]
+        assert "stops at line 2 of 3" in caplog.text
+
+    def test_load_all_quarantines_a_corrupt_snapshot_with_its_journal(self, tmp_path):
+        store = JobStore(tmp_path / "jobs")
+        job = self.saved_job(store)
+        self.complete(job, 0)
+        store.append(job, [0])
+        (tmp_path / "jobs" / f"{job.job_id}.json").write_text("{torn")
+        assert store.load_all() == []
+        assert sorted(p.name for p in (tmp_path / "jobs").iterdir()) == [
+            f"{job.job_id}.journal.corrupt",
+            f"{job.job_id}.json.corrupt",
+        ]
