@@ -20,7 +20,8 @@ circuits, plus the scaling/oracle pair added with the gate-fusion fast path:
                           applying the channels of
                           ``CompileOptions(noise_model=...)`` after each gate
 ``"sampling"``            seeded shot-based counts (noisy or noiseless)
-                          returning a :class:`~repro.noise.sampling.SamplingResult`
+                          returning a :class:`~repro.noise.sampling.SamplingResult`;
+                          noiseless runs evolve through the mask plan
 ``"unitary"``             dense unitary of the cached circuit (memoized)
 ``"resource"``            analytic gate counts via :mod:`repro.core.resource`
                           — no circuit is ever built
@@ -90,12 +91,23 @@ class StatevectorBackend:
 
     @staticmethod
     def _coerce(initial_state, num_qubits: int, program: "CompiledProgram") -> Statevector:
+        """The one ``initial_state`` check every state-evolving backend shares."""
         if isinstance(initial_state, Statevector):
             state = initial_state
         elif isinstance(initial_state, (int, np.integer)):
+            if not 0 <= initial_state < 1 << num_qubits:
+                raise CompileError(
+                    f"basis-state index {initial_state} is outside [0, 2^{num_qubits}) "
+                    f"for a {num_qubits}-qubit program"
+                )
             return Statevector(int(initial_state), num_qubits)
         else:
-            state = Statevector(np.asarray(initial_state))
+            data = np.asarray(initial_state)
+            if data.ndim != 1:
+                raise CompileError(
+                    f"initial state must be a (dim,) vector, got shape {data.shape}"
+                )
+            state = Statevector(data)
         if state.num_qubits == num_qubits:
             return state
         # A system-register state for a program that carries ancillas: embed
@@ -284,8 +296,9 @@ class DensityMatrixBackend:
 class PreparedDistribution:
     """The deterministic half of a sampling run: the outcome distribution.
 
-    Preparing the distribution — evolving the state, applying readout error —
-    is the expensive part of a shot-based run, and it is identical for every
+    Preparing the distribution — evolving the state (through the mask plan
+    when the run is noiseless and one exists), applying readout error — is
+    the expensive part of a shot-based run, and it is identical for every
     grid point of a ``repeats=``/seed axis.  The runtime's plan-batched
     executors prepare it once per batch and call :meth:`sample` per point;
     :meth:`SamplingBackend.run` goes through the exact same two steps, so a
@@ -323,11 +336,18 @@ class PreparedDistribution:
 class SamplingBackend:
     """Seeded shot-based counts: the execution mode hardware actually offers.
 
-    Evolves the initial state (a statevector when the noise model has no gate
-    noise, a density matrix otherwise), applies the model's readout error to
-    the outcome distribution, and draws ``shots`` samples with a single
+    Evolves the initial state, applies the model's readout error to the
+    outcome distribution, and draws ``shots`` samples with a single
     multinomial draw from ``rng`` — reproducible under an integer seed.
     Returns a :class:`~repro.noise.sampling.SamplingResult`.
+
+    A noiseless run (no gate noise, no
+    :class:`~repro.circuits.density_matrix.DensityMatrix` initial state)
+    evolves through :class:`KernelBackend`: a ``direct``/``pauli`` program
+    with a mask plan never builds its circuit, and a program without one
+    (block encodings, MPF combinations, ``trotter_split`` complex
+    transitions) runs its circuit exactly as the ``statevector`` backend
+    would.  Gate noise, or a mixed initial state, takes the density matrix.
     """
 
     name = "sampling"
@@ -358,7 +378,17 @@ class SamplingBackend:
             probs = rho.probabilities()
             num_qubits = rho.num_qubits
         else:
-            state = StatevectorBackend().run(program, initial_state)
+            # Coerced first: KernelBackend.run reads a 2-D array as a batch.
+            # The plan evolves the system register; a plan-less program falls
+            # back to its circuit, whose register may carry ancillas.
+            width = (
+                program.problem.num_qubits
+                if program.evolution_plan() is not None
+                else program.execution_circuit.num_qubits
+            )
+            state = KernelBackend().run(
+                program, StatevectorBackend._coerce(initial_state, width, program)
+            )
             probs = state.probabilities()
             num_qubits = state.num_qubits
         if noise is not None and noise.readout_error is not None:

@@ -1,15 +1,18 @@
 """Lowering a Trotter schedule to precomputed mask plans.
 
 A :class:`EvolutionPlan` is the term-level compilation target of the
-``kernel`` backend: the product formula of a
-:class:`~repro.compile.problem.SimulationProblem` flattened into groups of
-``(x_mask, z_mask, phase, theta)`` tuples — one group per exponentiated
-fragment — that are executed matrix-free, with no circuit construction and no
-gate matrix ever materialized.  Both evolution strategies lower:
+``kernel`` backend (and of noiseless ``sampling``): the product formula of a
+:class:`~repro.compile.problem.SimulationProblem` flattened into fragment
+*visits* — one ``(fragment, scale)`` pair per exponentiated fragment, ``scale``
+the slice of time the visit evolves it for — that are executed matrix-free,
+with no circuit construction and no gate matrix ever materialized.  The same
+schedule as ``(x_mask, z_mask, phase, theta)`` tuples (:class:`MaskRotation`,
+one group per visit) is a view built only when read.  Both evolution
+strategies lower:
 
-* ``"pauli"`` — one single-rotation group per Pauli string, mirroring
+* ``"pauli"`` — one single-string fragment per Pauli string, mirroring
   :func:`repro.core.trotter.pauli_fragments`;
-* ``"direct"`` — each gathered SCB fragment becomes ONE group via its Pauli
+* ``"direct"`` — each gathered SCB fragment becomes ONE fragment via its Pauli
   decomposition.
 
 The executor exploits the structural fact at the heart of the paper's direct
@@ -28,20 +31,24 @@ the closed form::
 hop).  ``cos``/``sin`` tables live on the 2^w patterns of the fragment's
 Z-support (w small) and broadcast over the full register; diagonal fragments
 (``x == 0``) collapse to a single element-wise phase, and consecutive
-diagonal groups are merged into one table at bake time.
+diagonal visits are summed as angles and exponentiated once at bake time.
 
 Lowering is split in two.  Everything that depends on the Hamiltonian
-alone — each fragment's Pauli decomposition into ``(x, z, phase,
-coefficient)`` strings and its bake layout (factored sign mask, table
-shape, flip slices, the per-string ±1 sign vectors on the support) — is
-computed once and kept in a bounded module-level LRU keyed on the
+alone is computed once and kept in a bounded module-level LRU keyed on the
 as-written term tuple, the strategy, the ``trotter_split`` flag, the table
-cap and the register width.  A new ``(time, steps, order)`` point only
-rescales angles (``theta = coefficient · fraction · dt``) and bakes the
-small ``cos``/``sin`` tables, once per distinct fragment visit.  The baked
-plan is then cached on the :class:`~repro.compile.program.CompiledProgram`,
-so the Trotter steps of one run and ``run_many`` initial-state sweeps
-replay the same tables.
+and merge caps and the register width: each fragment's Pauli decomposition
+into ``(x, z, phase, coefficient)`` strings and its bake layout — factored
+sign mask, flip slices and the *unit angle table*
+``unit = Σ_j coefficient_j·phase_j·(-1)^{parity(k & z_j)}`` on the support,
+so that a visit's ``e = scale·unit``.  When every fragment is diagonal
+(HUBO cost functions, Ising models, number-only terms) the entry also keeps
+the register's energy vector ``E = Σ_f unit_f``.  A new
+``(time, steps, order)`` point therefore bakes a fragment visit with one
+scalar multiply plus the small ``cos``/``sin`` tables, and an all-diagonal
+Hamiltonian's whole step with one ``exp(-i·dt·E)``.  The baked plan is then
+cached on the :class:`~repro.compile.program.CompiledProgram`, so the
+Trotter steps of one run and ``run_many`` initial-state sweeps replay the
+same tables.
 """
 
 from __future__ import annotations
@@ -62,7 +69,8 @@ if TYPE_CHECKING:  # pragma: no cover
 LOWERABLE_STRATEGIES = ("direct", "pauli")
 
 #: Largest merged-diagonal table (2^18 complex entries = 4 MiB); beyond this
-#: adjacent diagonal groups stay separate ops instead of growing one table.
+#: adjacent diagonal visits stay separate ops instead of growing one table,
+#: and an all-diagonal Hamiltonian keeps no register-wide energy vector.
 _MAX_MERGED_DIAGONAL_BITS = 18
 
 #: Largest dense support table of one group (2^14 complex entries = 256 KiB).
@@ -73,11 +81,12 @@ _MAX_MERGED_DIAGONAL_BITS = 18
 #: shared basis-index cache.
 _MAX_TABLE_BITS = 14
 
-#: Time-independent lowerings kept by :func:`_lowered_fragments`: a bounded
-#: LRU (hits move to the back, eviction pops the front), shared by every
-#: thread of the process under one lock.  An entry holds one ±1 sign vector
-#: on the support (2^w bytes) per Pauli string of the Hamiltonian.
-_LOWERING_CACHE: "dict[tuple, tuple[_Fragment, ...]]" = {}
+#: Time-independent lowerings kept by :func:`_lowered`: a bounded LRU (hits
+#: move to the back, eviction pops the front), shared by every thread of the
+#: process under one lock.  An entry holds one complex unit angle table on
+#: the support (2^w entries) per fragment, plus the 2^n float64 energy vector
+#: of an all-diagonal Hamiltonian (at most 2 MiB at the merge cap).
+_LOWERING_CACHE: "dict[tuple, _Lowering]" = {}
 _LOWERING_CACHE_CAP = 16
 _LOWERING_LOCK = threading.Lock()
 
@@ -121,18 +130,26 @@ class _PairOp(NamedTuple):
 
 
 class _Layout(NamedTuple):
-    """How one fragment's group bakes, fixed by its masks alone.
+    """How one fragment bakes, fixed by its strings alone.
 
+    A visit with slice ``scale = fraction·dt`` has the angle table
     ``e(k) = (-1)^{parity(k & sign_mask)} · f(k restricted to the support)``
-    with ``f = Σ_j theta_j·phase_j·signs[j]``; ``sign_mask`` is nonzero only
-    when the full Z-support would overflow :data:`_MAX_TABLE_BITS` — the
+    with ``f = scale·unit``; ``sign_mask`` is nonzero only when the full
+    Z-support would overflow :data:`_MAX_TABLE_BITS` — the
     :func:`_factor_z_masks` policy.
     """
 
+    x_mask: int
     sign_mask: int
-    shape: tuple[int, ...]  # broadcast shape: 2 on support axes, 1 elsewhere
     flip: tuple  # slice tuple realising ψ[k ^ x] as a strided view
-    signs: tuple[np.ndarray, ...]  # per string, int8 ±1 over the 2^w support patterns
+    #: ``Σ_j coefficient_j·phase_j·signs_j`` over the 2^w support patterns:
+    #: complex, read-only, broadcast-shaped (2 on support axes, 1 elsewhere).
+    unit: np.ndarray
+
+    @property
+    def diagonal(self) -> bool:
+        """An element-wise phase: no flip and no run-time sign."""
+        return self.x_mask == 0 and self.sign_mask == 0
 
 
 class _Fragment(NamedTuple):
@@ -141,6 +158,16 @@ class _Fragment(NamedTuple):
     strings: tuple[tuple[int, int, complex, float], ...]  # non-identity (x, z, phase, coeff)
     identity: tuple[float, ...]  # coefficients of identity strings: a global phase
     layout: "_Layout | None"  # None when every string is the identity
+
+
+class _Lowering(NamedTuple):
+    """One :data:`_LOWERING_CACHE` entry: the time-independent half of a plan."""
+
+    fragments: tuple[_Fragment, ...]
+    #: ``Σ_f unit_f`` over the register (float64, shape ``(2,)*n``, read-only)
+    #: when every fragment is diagonal and ``n <= _MAX_MERGED_DIAGONAL_BITS``;
+    #: ``None`` otherwise.
+    energy: "np.ndarray | None"
 
 
 def _parity_tensor(num_qubits: int, mask: int) -> np.ndarray:
@@ -153,11 +180,6 @@ def _parity_tensor(num_qubits: int, mask: int) -> np.ndarray:
     )
     tensor.setflags(write=False)
     return tensor
-
-
-def _broadcast(layout: _Layout, table: np.ndarray) -> np.ndarray:
-    """Reshape a 2^w support table so it broadcasts over the register."""
-    return np.ascontiguousarray(table).reshape(layout.shape)
 
 
 def _factor_z_masks(z_masks) -> tuple[int, int]:
@@ -186,131 +208,150 @@ def _factor_z_masks(z_masks) -> tuple[int, int]:
 
 @dataclass
 class EvolutionPlan:
-    """A fully-lowered product formula: mask groups for one Trotter step.
+    """A fully-lowered product formula: the fragment visits of one Trotter step.
 
-    ``step_groups`` holds one tuple of :class:`MaskRotation` per exponentiated
-    fragment of one (order-expanded) step; :meth:`evolve` replays the baked
+    ``visits`` holds one ``(fragment index, scale)`` pair per exponentiated
+    fragment of one (order-expanded) step, ``scale = fraction·dt`` the slice
+    the visit evolves its fragment for; :meth:`evolve` replays the baked
     executor ops ``steps`` times and applies the accumulated identity-string
-    phase once at the end.  Reusable across initial states, including batched
-    ones.  Built and baked by :func:`lower_problem`, which pairs each group
-    with its fragment's cached bake layout.
+    phase once at the end.  Reusable across initial states, including
+    batched ones.  Built and baked by :func:`lower_problem` from the
+    Hamiltonian's cached lowering; the :class:`MaskRotation` view of the
+    same schedule (:attr:`step_groups`) is built only when read.
     """
 
     num_qubits: int
     steps: int
-    step_groups: tuple[tuple[MaskRotation, ...], ...]
+    visits: tuple[tuple[int, float], ...]
+    _lowering: _Lowering = field(repr=False, compare=False)
     #: Phase angle collected from identity strings over ONE step (the lowered
     #: analogue of ``QuantumCircuit.global_phase``).
     step_phase: float = 0.0
     strategy: str = "direct"
-    #: The cached :class:`_Layout` of each group of ``step_groups``.
-    _layouts: tuple = field(default=(), repr=False, compare=False)
+    #: The Trotter slice ``time / steps``.
+    dt: float = 0.0
+    _groups: "tuple | None" = field(default=None, repr=False, compare=False)
     _ops: "list | None" = field(default=None, repr=False, compare=False)
+
+    @property
+    def step_groups(self) -> tuple[tuple[MaskRotation, ...], ...]:
+        """One tuple of :class:`MaskRotation` per visit of one step (built on
+        first read; execution never needs them)."""
+        if self._groups is None:
+            fragments = self._lowering.fragments
+            self._groups = tuple(
+                tuple(
+                    MaskRotation(x_mask, z_mask, phase, coefficient * scale)
+                    for x_mask, z_mask, phase, coefficient in fragments[index].strings
+                )
+                for index, scale in self.visits
+            )
+        return self._groups
 
     @property
     def step_rotations(self) -> tuple[MaskRotation, ...]:
         """The flat mask-tuple sequence of one step (groups concatenated)."""
         return tuple(rotation for group in self.step_groups for rotation in group)
 
+    def _rotations_per_step(self) -> int:
+        fragments = self._lowering.fragments
+        return sum(len(fragments[index].strings) for index, _ in self.visits)
+
     @property
     def num_rotations(self) -> int:
-        """Total mask rotations replayed by one :meth:`evolve` call."""
-        return len(self.step_rotations) * self.steps
+        """Total mask rotations replayed by one :meth:`evolve` call (counted,
+        not built)."""
+        return self._rotations_per_step() * self.steps
 
     # ----------------------------------------------------------------- baking
 
-    def _bake_group(
-        self, group: tuple[MaskRotation, ...], layout: _Layout, parities: dict
-    ):
-        """The executor op of one group: its angle table ``f`` on the cached
-        layout, then the closed-form exponential tables."""
-        n = self.num_qubits
-        x_mask = group[0].x_mask
+    def _bake_group(self, layout: _Layout, scale: float, parities: dict) -> "_PairOp":
+        """The executor op of one non-diagonal visit: its angle table
+        ``f = scale·unit``, then the closed-form exponential tables."""
+        f = scale * layout.unit
         sign_mask = layout.sign_mask
-        f = np.zeros(layout.signs[0].size, dtype=complex)
-        for rotation, signs in zip(group, layout.signs):
-            f = f + (rotation.theta * rotation.phase) * signs
-        if sign_mask and sign_mask not in parities:
-            parities[sign_mask] = _parity_tensor(n, sign_mask)
-        sign_parity = parities.get(sign_mask) if sign_mask else None
-        if x_mask == 0 and sign_mask == 0:
-            # Diagonal fragment: exp(-i·f(k)) element-wise.  f is real here
-            # (no Y factors without X), so this is a pure phase table.
-            return _DiagonalOp(_broadcast(layout, np.exp(-1j * f.real)))
-        if x_mask == 0:
+        sign_parity = None
+        if sign_mask:
+            sign_parity = parities.get(sign_mask)
+            if sign_parity is None:
+                sign_parity = parities[sign_mask] = _parity_tensor(
+                    self.num_qubits, sign_mask
+                )
+        if layout.x_mask == 0:
             # Wide diagonal with a factored sign: exp(-i·s·f) = cos f − i·s·sin f,
-            # which is a pair op whose "flip" is the identity.
+            # which is a pair op whose "flip" is the identity.  f is real here
+            # (no Y factors without X).
             return _PairOp(
-                layout.flip,
-                _broadcast(layout, np.cos(f.real)),
-                _broadcast(layout, -1j * np.sin(f.real)),
-                sign_mask,
-                sign_parity,
+                layout.flip, np.cos(f.real), -1j * np.sin(f.real), sign_mask, sign_parity
             )
         magnitude = np.abs(f)
-        table_a = np.cos(magnitude)
         with np.errstate(invalid="ignore", divide="ignore"):
             sinc = np.where(magnitude > 0.0, np.sin(magnitude) / magnitude, 0.0)
-        table_b = -1j * f * sinc
         return _PairOp(
-            layout.flip,
-            _broadcast(layout, table_a),
-            _broadcast(layout, table_b),
-            sign_mask,
-            sign_parity,
+            layout.flip, np.cos(magnitude), -1j * f * sinc, sign_mask, sign_parity
         )
 
     def _baked_ops(self) -> list:
         """Executor ops of one step (built once, cached on the plan).
 
-        Each distinct group is baked once: the mirrored visits of an order-2
-        (or Suzuki) step repeat a fragment with identical angles.  Diagonal
-        groups are folded away wherever possible: a pending diagonal
-        phase table ``T`` followed by a pair op becomes ``A' = T·A`` and
-        ``B'(k) = B(k)·T(k ^ x)`` (the flip of a broadcast table is just its
-        slice-reversal, size-1 axes included), so runs of diagonal fragments
-        cost nothing at execution time.  Oversized unions (> 2^18 table
-        entries) flush instead of growing.
+        An all-diagonal Hamiltonian bakes its step as the single phase vector
+        ``exp(-i·dt·E)``: exact, because its fragments commute and every
+        product formula gives each fragment a total weight of one per step.
+        Otherwise each distinct non-diagonal visit is baked once — the
+        mirrored visits of an order-2 (or Suzuki) step repeat a
+        ``(fragment, scale)`` pair — and runs of diagonal visits are summed
+        as angles: each adds ``scale·unit`` into one broadcast table, which
+        takes a single ``exp`` when the run is flushed or folded into the
+        next pair op as ``A' = T·A`` and ``B'(k) = B(k)·T(k ^ x)`` (the flip
+        of a broadcast table is just its slice-reversal, size-1 axes
+        included), so diagonal runs cost nothing at execution time.  A merge
+        whose operands' sizes multiply past 2^18 (a bound on the merged
+        table) flushes the run instead.
         """
-        if self._ops is None:
-            ops: list = []
-            pending: np.ndarray | None = None  # accumulated diagonal table
-            parities: dict = {}  # sign_mask -> parity tensor, deduped per plan
-            baked: dict = {}  # group -> its op, deduped per plan
-            for group, layout in zip(self.step_groups, self._layouts, strict=True):
-                op = baked.get(group)
-                if op is None:
-                    op = baked[group] = self._bake_group(group, layout, parities)
-                if isinstance(op, _DiagonalOp):
-                    if pending is None:
-                        pending = op.table
-                    elif pending.size * op.table.size <= (1 << _MAX_MERGED_DIAGONAL_BITS):
-                        pending = pending * op.table
-                    else:
-                        ops.append(_DiagonalOp(pending))
-                        pending = op.table
-                    continue
-                if (
-                    pending is not None
-                    and pending.size * max(op.table_a.size, op.table_b.size)
-                    <= (1 << _MAX_MERGED_DIAGONAL_BITS)
-                ):
+        if self._ops is not None:
+            return self._ops
+        if self._lowering.energy is not None:
+            self._ops = [_DiagonalOp(np.exp((-1j * self.dt) * self._lowering.energy))]
+            return self._ops
+        cap = 1 << _MAX_MERGED_DIAGONAL_BITS
+        fragments = self._lowering.fragments
+        ops: list = []
+        pending: np.ndarray | None = None  # summed angles of the diagonal run
+        parities: dict = {}  # sign_mask -> parity tensor, deduped per plan
+        baked: dict = {}  # (fragment index, scale) -> its op, deduped per plan
+        for index, scale in self.visits:
+            layout = fragments[index].layout
+            if layout.diagonal:
+                angles = scale * layout.unit.real
+                if pending is None:
+                    pending = angles
+                elif pending.size * angles.size <= cap:
+                    pending = pending + angles
+                else:
+                    ops.append(_DiagonalOp(np.exp(-1j * pending)))
+                    pending = angles
+                continue
+            op = baked.get((index, scale))
+            if op is None:
+                op = baked[index, scale] = self._bake_group(layout, scale, parities)
+            if pending is not None:
+                phases = np.exp(-1j * pending)
+                if phases.size * op.table_a.size <= cap:
                     op = _PairOp(
                         op.flip,
-                        np.ascontiguousarray(op.table_a * pending),
-                        np.ascontiguousarray(op.table_b * pending[op.flip]),
+                        np.ascontiguousarray(op.table_a * phases),
+                        np.ascontiguousarray(op.table_b * phases[op.flip]),
                         op.sign_mask,
                         op.sign_parity,
                     )
-                    pending = None
-                elif pending is not None:
-                    ops.append(_DiagonalOp(pending))
-                    pending = None
-                ops.append(op)
-            if pending is not None:
-                ops.append(_DiagonalOp(pending))
-            self._ops = ops
-        return self._ops
+                else:
+                    ops.append(_DiagonalOp(phases))
+                pending = None
+            ops.append(op)
+        if pending is not None:
+            ops.append(_DiagonalOp(np.exp(-1j * pending)))
+        self._ops = ops
+        return ops
 
     # -------------------------------------------------------------- execution
 
@@ -361,8 +402,8 @@ class EvolutionPlan:
 
     def describe(self) -> str:
         return (
-            f"EvolutionPlan({self.strategy!r}: {len(self.step_groups)} "
-            f"fragment groups ({len(self.step_rotations)} rotations)/step × "
+            f"EvolutionPlan({self.strategy!r}: {len(self.visits)} "
+            f"fragment groups ({self._rotations_per_step()} rotations)/step × "
             f"{self.steps} steps on {self.num_qubits} qubits)"
         )
 
@@ -478,34 +519,56 @@ def _fragment_masks(pauli_operator) -> list[tuple[int, int, complex, float]]:
     return lowered
 
 
+def _unit_table(num_qubits: int, axes: list[int], sign_mask: int, strings) -> np.ndarray:
+    """A fragment's ``unit = Σ_j coefficient_j·phase_j·signs_j`` on its support.
+
+    ``signs_j(p) = (-1)^{parity(p & c_j)}`` over the 2^w support patterns,
+    with ``c_j`` string j's residual Z mask compressed onto the support axes,
+    so ``unit`` is the product of the weight vector with the support's
+    parity (Sylvester–Hadamard) matrix.  It is evaluated vectorized as a fast
+    Walsh–Hadamard transform — the weights scattered onto their compressed
+    masks, then one butterfly per support axis: O(w·2^w) time and O(2^w)
+    memory, where materializing the strings × 2^w sign matrix would need
+    O(S·2^w) (2048 × 8192 entries for the Fig. 2 term).
+    """
+    n = num_qubits
+    width = len(axes)
+    residuals = np.array(
+        [z_mask & ~sign_mask for _, z_mask, _, _ in strings], dtype=np.int64
+    )
+    shifts = np.array([n - 1 - q for q in axes], dtype=np.int64)
+    place = np.left_shift(1, np.arange(width - 1, -1, -1, dtype=np.int64))
+    table = np.zeros(1 << width, dtype=complex)
+    # Distinct strings sharing an X mask have distinct Z masks, so no two
+    # land on the same compressed mask.
+    table[((residuals[:, None] >> shifts) & 1) @ place] = [
+        coefficient * phase for _, _, phase, coefficient in strings
+    ]
+    for axis in range(width):
+        pairs = table.reshape(1 << axis, 2, -1)
+        low, high = pairs[:, 0], pairs[:, 1]
+        difference = low - high
+        low += high
+        high[...] = difference
+    unit = table.reshape(tuple(2 if q in axes else 1 for q in range(n)))
+    unit.setflags(write=False)  # shared by every plan of the Hamiltonian
+    return unit
+
+
 def _layout(num_qubits: int, strings) -> _Layout:
     """The bake layout of a group of strings sharing one X mask."""
     n = num_qubits
     sign_mask, union = _factor_z_masks([z_mask for _, z_mask, _, _ in strings])
-    axes = tuple(q for q in range(n) if (union >> (n - 1 - q)) & 1)
-    width = len(axes)
-    patterns = np.arange(1 << width)
-    signs = []
-    for _, z_mask, _, _ in strings:
-        residual = z_mask & ~sign_mask
-        compressed = 0
-        for position, qubit in enumerate(axes):
-            if (residual >> (n - 1 - qubit)) & 1:
-                compressed |= 1 << (width - 1 - position)
-        # int8 keeps an entry 8x smaller; the product with a complex angle
-        # casts it to the same (±1, 0) a float sign would give.
-        sign = np.where(_parity_of(patterns & compressed), -1, 1).astype(np.int8)
-        sign.setflags(write=False)  # shared by every plan of the Hamiltonian
-        signs.append(sign)
+    axes = [q for q in range(n) if (union >> (n - 1 - q)) & 1]
     x_mask = strings[0][0]
     return _Layout(
+        x_mask,
         sign_mask,
-        tuple(2 if q in axes else 1 for q in range(n)),
         tuple(
             slice(None, None, -1) if (x_mask >> (n - 1 - q)) & 1 else slice(None)
             for q in range(n)
         ),
-        tuple(signs),
+        _unit_table(n, axes, sign_mask, strings),
     )
 
 
@@ -519,31 +582,48 @@ def _fragment(num_qubits: int, entries) -> _Fragment:
     )
 
 
-def _lowered_fragments(
-    problem: "SimulationProblem", strategy: str
-) -> tuple[_Fragment, ...]:
+def _energy(num_qubits: int, fragments: tuple[_Fragment, ...]) -> "np.ndarray | None":
+    """``E = Σ_f unit_f`` over the register when every fragment is diagonal.
+
+    ``None`` for a Hamiltonian with any flipping or factored-sign fragment,
+    or one wider than :data:`_MAX_MERGED_DIAGONAL_BITS`.
+    """
+    if num_qubits > _MAX_MERGED_DIAGONAL_BITS or any(
+        fragment.layout is not None and not fragment.layout.diagonal
+        for fragment in fragments
+    ):
+        return None
+    energy = np.zeros((2,) * num_qubits)
+    for fragment in fragments:
+        if fragment.layout is not None:
+            energy += fragment.layout.unit.real
+    energy.setflags(write=False)
+    return energy
+
+
+def _lowered(problem: "SimulationProblem", strategy: str) -> _Lowering:
     """The time-independent lowering of the problem's Hamiltonian.
 
     Served from :data:`_LOWERING_CACHE`, keyed on everything lowering and
-    baking read: the strategy, the ``trotter_split`` flag, the table cap,
-    the register width and the *as-written* term tuple.  Not
+    baking read: the strategy, the ``trotter_split`` flag, the table and
+    merge caps, the register width and the *as-written* term tuple.  Not
     ``content_key()``: it sorts the terms, and term order is the order of
     the Trotter product.  ``add_term`` changes the term tuple, so a mutated
     Hamiltonian can never hit a stale entry.
     """
     hamiltonian = problem.hamiltonian
     split_mode = problem.options.complex_mode == "trotter_split"
-    key = (strategy, split_mode, _MAX_TABLE_BITS, hamiltonian.num_qubits,
-           hamiltonian.terms)
+    key = (strategy, split_mode, _MAX_TABLE_BITS, _MAX_MERGED_DIAGONAL_BITS,
+           hamiltonian.num_qubits, hamiltonian.terms)
     with _LOWERING_LOCK:
-        fragments = _LOWERING_CACHE.pop(key, None)
-        if fragments is not None:
-            _LOWERING_CACHE[key] = fragments  # re-insertion moves the hit to the back
-            return fragments
+        lowering = _LOWERING_CACHE.pop(key, None)
+        if lowering is not None:
+            _LOWERING_CACHE[key] = lowering  # re-insertion moves the hit to the back
+            return lowering
 
     n = hamiltonian.num_qubits
     if strategy == "pauli":
-        # One single-string group per Pauli term, in pauli_fragments() order.
+        # One single-string fragment per Pauli term, in pauli_fragments() order.
         fragments = tuple(
             _fragment(n, [entry]) for entry in _fragment_masks(problem.pauli_operator())
         )
@@ -571,20 +651,22 @@ def _lowered_fragments(
             _check_table_width(entries, term.label)
             lowered.append(_fragment(n, entries))
         fragments = tuple(lowered)
+    lowering = _Lowering(fragments, _energy(n, fragments))
 
     with _LOWERING_LOCK:
         while len(_LOWERING_CACHE) >= _LOWERING_CACHE_CAP:
             _LOWERING_CACHE.pop(next(iter(_LOWERING_CACHE)))
-        _LOWERING_CACHE[key] = fragments
-    return fragments
+        _LOWERING_CACHE[key] = lowering
+    return lowering
 
 
 def lower_problem(problem: "SimulationProblem", strategy: str) -> EvolutionPlan:
     """Lower a problem's Trotter schedule for the given evolution strategy.
 
     Returns a baked plan: the Hamiltonian's time-independent lowering comes
-    from :func:`_lowered_fragments`, and only the angles and the small
-    support tables are computed here.
+    from :func:`_lowered`, so only the visit scales and the small support
+    tables (or, for an all-diagonal Hamiltonian, one phase vector) are
+    computed here.
 
     Raises :class:`PlanLoweringError` when the pair cannot be represented as a
     mask plan: non-evolution strategies, direct fragments whose strings do not
@@ -599,28 +681,24 @@ def lower_problem(problem: "SimulationProblem", strategy: str) -> EvolutionPlan:
             f"strategy {strategy!r} does not lower to a mask plan "
             f"(supported: {', '.join(LOWERABLE_STRATEGIES)})"
         )
-    fragments = _lowered_fragments(problem, strategy)
+    lowering = _lowered(problem, strategy)
     dt = problem.time / problem.steps
-    groups: list[tuple[MaskRotation, ...]] = []
-    layouts: list[_Layout] = []
+    visits: list[tuple[int, float]] = []
     step_phase = 0.0
-    for index, fraction in _merged_schedule(len(fragments), problem.order):
-        fragment = fragments[index]
+    for index, fraction in _merged_schedule(len(lowering.fragments), problem.order):
+        fragment = lowering.fragments[index]
         for coefficient in fragment.identity:
             step_phase -= coefficient * fraction * dt
-        if fragment.strings:
-            groups.append(tuple(
-                MaskRotation(x_mask, z_mask, phase, coefficient * fraction * dt)
-                for x_mask, z_mask, phase, coefficient in fragment.strings
-            ))
-            layouts.append(fragment.layout)
+        if fragment.layout is not None:
+            visits.append((index, fraction * dt))
     plan = EvolutionPlan(
         num_qubits=problem.num_qubits,
         steps=problem.steps,
-        step_groups=tuple(groups),
+        visits=tuple(visits),
+        _lowering=lowering,
         step_phase=step_phase,
         strategy=strategy,
-        _layouts=tuple(layouts),
+        dt=dt,
     )
     plan._baked_ops()
     return plan

@@ -6,7 +6,8 @@ and stored as a JSON sidecar (metadata + scalar payloads) plus an optional
 The store is versioned — entries live under ``v{SPEC_VERSION}/`` so a change
 to the canonical serialization scheme starts a fresh namespace instead of
 serving stale bytes — and size-capped with least-recently-*used* eviction
-(the sidecar's mtime is touched on every hit).
+(the sidecar's mtime is touched on every hit).  :meth:`ResultCache.clear`
+also removes the older ``v<N>/`` namespaces a version bump strands.
 
 Configuration follows the environment:
 
@@ -29,6 +30,8 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
+import shutil
 import threading
 import time
 import zipfile
@@ -314,13 +317,46 @@ class ResultCache:
         }
 
     def clear(self) -> int:
-        """Remove every entry (and any orphan npz); returns how many."""
+        """Remove every entry (and any orphan npz), and every older namespace.
+
+        Returns how many entries went, the older namespaces' included.
+        """
         removed = 0
         for sidecar in self.directory.glob("*/*.json"):
             self._remove(sidecar)
             removed += 1
         removed += self._sweep_orphans()
+        removed += self._remove_stale_namespaces()
         self._approx_bytes = 0
+        return removed
+
+    def _remove_stale_namespaces(self) -> int:
+        """Delete the sibling ``v<N>/`` namespaces with ``N < SPEC_VERSION``.
+
+        A ``SPEC_VERSION`` bump strands the old namespace: no listing, stats
+        or eviction looks there, so this is the only place its bytes are
+        reclaimed.  Newer namespaces (a newer install sharing the root) and
+        directories with other names are left alone.  Returns the number of
+        entries (sidecars) the removed namespaces held.
+        """
+        stale = [
+            sibling
+            for sibling in self.directory.parent.glob("v*")
+            if (match := re.fullmatch(r"v([0-9]+)", sibling.name))
+            and int(match.group(1)) < SPEC_VERSION
+            and sibling.is_dir()
+        ]
+        removed = 0
+        for namespace in stale:
+            removed += sum(1 for _ in namespace.glob("*/*.json"))
+            shutil.rmtree(namespace, ignore_errors=True)
+        if stale:
+            logger.info(
+                "removed %d entr%s from older cache namespace(s) %s",
+                removed,
+                "y" if removed == 1 else "ies",
+                ", ".join(sorted(namespace.name for namespace in stale)),
+            )
         return removed
 
     def _measure_bytes(self) -> int:

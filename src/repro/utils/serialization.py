@@ -25,9 +25,12 @@ import numpy as np
 
 from repro.exceptions import ReproError
 
-#: Bump when the canonical encoding of any core datatype changes shape —
-#: every content key (and with it every cache entry) is versioned by this tag.
-SPEC_VERSION = 1
+#: Bump when the canonical encoding of any core datatype changes shape, or
+#: when the value computed for an unchanged key changes (numerics that move
+#: results, even by rounding) — every content key (and with it every cache
+#: entry) is versioned by this tag, so old results are never served beside
+#: new ones.
+SPEC_VERSION = 2
 
 
 class SerializationError(ReproError):

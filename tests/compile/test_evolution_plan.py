@@ -4,8 +4,9 @@ Property suite for the term-level engine: random SCB Hamiltonians are lowered
 under both evolution strategies and every plan is replayed against the exact
 same circuit the strategy builds — full complex vectors compared, so global
 phases count, including the batch axis.  The refusal paths (non-evolution
-strategies, ``trotter_split`` complex fragments), the per-program cache and
-the per-Hamiltonian lowering cache are covered as well.
+strategies, ``trotter_split`` complex fragments), the per-program cache,
+the per-Hamiltonian lowering cache and the one-phase-vector step of an
+all-diagonal (HUBO) Hamiltonian are covered as well.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import repro
 import repro.compile.plan as plan_module
+from repro.applications.hubo import random_hubo
 from repro.circuits.statevector import Statevector
 from repro.compile.plan import (
     EvolutionPlan,
@@ -268,6 +270,81 @@ class TestPlanObject:
         program.run(backend="kernel")
         program.run(backend="kernel", initial_state=1)
         assert calls == []
+
+
+class TestAllDiagonalPlans:
+    """HUBO, Ising and number-only Hamiltonians bake one phase vector per step."""
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    @pytest.mark.parametrize("strategy", ["direct", "pauli"])
+    @pytest.mark.parametrize("formalism", ["boolean", "spin"])
+    def test_hubo_step_is_one_exact_phase_vector(self, formalism, strategy, order, steps):
+        hubo = random_hubo(8, 16, 4, formalism=formalism, rng=17)
+        time = 0.7
+        plan = lower_problem(
+            hubo.to_simulation_problem(time, steps=steps, order=order), strategy
+        )
+        [op] = plan._baked_ops()
+        assert isinstance(op, plan_module._DiagonalOp)
+        psi = random_statevector(8, np.random.default_rng(steps + order))
+        np.testing.assert_allclose(
+            plan.evolve(psi), np.exp(-1j * time * hubo.energy_vector()) * psi, atol=1e-12
+        )
+
+    def test_kernel_run_counts_rotations_without_building_them(self):
+        # The 10-variable, 48-monomial HUBO the layered benchmark samples.
+        hubo = random_hubo(10, 48, 6, rng=2025)
+        program = repro.compile(hubo.to_simulation_problem(0.5), "direct")
+        program.run(backend="kernel")
+        plan = program.evolution_plan()
+        assert plan.num_rotations == 1250 and "1250 rotations" in plan.describe()
+        assert plan._groups is None  # run, counted and described, never built
+        assert len(plan.step_groups) == len(plan.visits) == 48
+        assert len(plan.step_rotations) == 1250
+
+    def test_mixed_hamiltonian_bakes_per_visit_and_sums_diagonal_runs(self, monkeypatch):
+        calls = []
+        bake = EvolutionPlan._bake_group
+
+        def counting(self, *args):
+            calls.append(1)
+            return bake(self, *args)
+
+        monkeypatch.setattr(EvolutionPlan, "_bake_group", counting)
+        # Two diagonal fragments, one hop, one diagonal fragment: the first
+        # run folds into the hop's pair op, the last one is its own op.
+        problem = repro.SimulationProblem.from_labels(
+            4, {"nnII": 0.4, "IZZI": 0.3, "IIsd": 0.5, "ZIIn": 0.2}, time=0.6
+        )
+        program = repro.compile(problem, "direct")
+        plan = program.evolution_plan()
+        assert plan._lowering.energy is None
+        assert calls == [1]
+        assert [type(op) for op in plan._baked_ops()] == [
+            plan_module._PairOp, plan_module._DiagonalOp,
+        ]
+        psi = random_statevector(4, np.random.default_rng(9))
+        np.testing.assert_allclose(
+            plan.evolve(psi), circuit_reference(program, psi), atol=1e-10
+        )
+
+    def test_register_past_the_merge_cap_bakes_per_visit(self, monkeypatch):
+        hubo = random_hubo(8, 16, 4, rng=17)
+        problem = hubo.to_simulation_problem(0.7, steps=2, order=2)
+        # Lowered first under the default cap: a cached energy vector must
+        # not be served once the cap shrinks below the register width.
+        assert lower_problem(problem, "direct")._lowering.energy is not None
+        monkeypatch.setattr(plan_module, "_MAX_MERGED_DIAGONAL_BITS", 5)
+        plan = lower_problem(problem, "direct")
+        assert plan._lowering.energy is None
+        ops = plan._baked_ops()
+        assert len(ops) > 1
+        assert all(isinstance(op, plan_module._DiagonalOp) for op in ops)
+        psi = random_statevector(8, np.random.default_rng(1))
+        np.testing.assert_allclose(
+            plan.evolve(psi), np.exp(-1j * 0.7 * hubo.energy_vector()) * psi, atol=1e-12
+        )
 
 
 def hubbard_like(order_of_terms=None) -> Hamiltonian:

@@ -92,6 +92,27 @@ class TestRunBackends:
         with pytest.raises(CompileError, match="unknown"):
             program.run(backend="unitary", shots=100)
 
+    @pytest.mark.parametrize(
+        "backend",
+        ["statevector", "kernel", "sparse", "exact", "density_matrix", "sampling"],
+    )
+    @pytest.mark.parametrize(
+        "initial_state",
+        [-1, 8, np.full((4, 2), 1 / np.sqrt(8))],
+        ids=["negative-index", "index-past-the-register", "2-d-array"],
+    )
+    def test_every_backend_refuses_the_same_bad_initial_states(
+        self, backend, initial_state
+    ):
+        # A negative index used to wrap to |111>, 8 raised a bare IndexError
+        # and a (4, 2) array was flattened into an 8-vector.
+        program = compile_problem(
+            SimulationProblem.from_labels(3, {"nsd": 0.4, "ZIZ": 0.3}, time=0.2),
+            "direct",
+        )
+        with pytest.raises(CompileError):
+            program.run(backend=backend, initial_state=initial_state)
+
 
 class TestAgreement:
     """Acceptance: direct and pauli agree to 1e-8 on the quickstart Hamiltonian."""

@@ -176,6 +176,100 @@ class TestDensityMatrixAgreesWithStatevector:
         assert 1.0 / 16.0 < rho.fidelity(psi) < 1.0 - 1e-6
 
 
+class TestSamplingAgreesWithStatevector:
+    """Noiseless ``sampling`` evolves through the ``kernel`` backend.
+
+    Its prepared outcome distribution must be ``|statevector|²`` (mixed
+    through the readout confusion matrix when the model has one) for every
+    strategy; a lowerable program never builds its circuit for it, a
+    plan-less one samples its whole circuit register, and gate noise still
+    goes through the density matrix.
+    """
+
+    @staticmethod
+    def readout_only():
+        from repro.noise import NoiseModel, ReadoutError
+
+        return NoiseModel().set_readout_error(ReadoutError.symmetric(0.03))
+
+    @pytest.mark.parametrize("readout", [False, True], ids=["noiseless", "readout"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_distribution_is_the_statevector_born_rule(self, strategy, seed, readout):
+        from repro.compile.backends import SamplingBackend
+
+        small = strategy in ("block_encoding", "mpf")
+        problem = random_problem(
+            seed + 70,
+            num_qubits=3 if small else None,
+            num_terms=2 if small else None,
+        )
+        program = repro.compile(problem, strategy)
+        noise = self.readout_only() if readout else None
+        psi = random_statevector(problem.num_qubits, np.random.default_rng(seed))
+        prepared = SamplingBackend().prepare(program, psi, noise_model=noise)
+        expected = program.run(backend="statevector", initial_state=psi).probabilities()
+        if readout:
+            expected = noise.readout_error.apply_to_probabilities(expected)
+        np.testing.assert_allclose(prepared.probabilities, expected, atol=1e-12)
+        assert prepared.num_qubits == program.circuit.num_qubits
+        assert prepared.metadata == {
+            "noisy": False, "readout_error": readout, "strategy": strategy,
+        }
+        counts = prepared.sample(shots=64, rng=seed).counts
+        assert {len(bits) for bits in counts} == {program.circuit.num_qubits}
+
+    @pytest.mark.parametrize("strategy", EVOLUTION_STRATEGIES)
+    def test_lowerable_programs_sample_without_a_circuit(self, strategy):
+        from repro.compile.backends import SamplingBackend
+
+        program = repro.compile(random_problem(5, num_qubits=4), strategy)
+        prepared = SamplingBackend().prepare(program, 3, noise_model=self.readout_only())
+        assert program.evolution_plan() is not None
+        assert not program.is_built
+        assert prepared.num_qubits == 4
+
+    @pytest.mark.parametrize("case", ["block_encoding", "mpf", "trotter_split"])
+    def test_planless_programs_sample_their_circuit_register(self, case):
+        from repro.compile.backends import SamplingBackend
+        from repro.operators.scb_term import SCBTerm
+
+        if case == "trotter_split":
+            hamiltonian = repro.Hamiltonian(3).add_term(
+                SCBTerm.from_label("ssI", 0.5 + 0.5j)
+            )
+            problem = repro.SimulationProblem(hamiltonian, 0.3).with_options(
+                complex_mode="trotter_split"
+            )
+            program = repro.compile(problem, "direct")
+        else:
+            program = repro.compile(random_problem(2, num_qubits=3, num_terms=2), case)
+        prepared = SamplingBackend().prepare(program)
+        assert program.evolution_plan() is None
+        assert program.is_built
+        assert prepared.num_qubits == program.circuit.num_qubits
+        np.testing.assert_allclose(
+            prepared.probabilities,
+            program.run(backend="statevector").probabilities(),
+            atol=1e-12,
+        )
+
+    def test_gate_noise_still_takes_the_density_matrix(self, monkeypatch):
+        from repro.compile.backends import KernelBackend, SamplingBackend
+        from repro.noise import NoiseModel
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a gate-noisy run must not use the pure-state plan")
+
+        monkeypatch.setattr(KernelBackend, "run", no_kernel)
+        noise = NoiseModel.uniform_depolarizing(0.01)
+        program = repro.compile(random_problem(13, num_qubits=3), "direct")
+        prepared = SamplingBackend().prepare(program, noise_model=noise)
+        rho = program.run(backend="density_matrix", noise_model=noise)
+        assert prepared.metadata["noisy"]
+        np.testing.assert_allclose(prepared.probabilities, rho.probabilities(), atol=1e-12)
+
+
 class TestExactOracle:
     """The exact backend is Trotter-free ground truth for evolution programs."""
 

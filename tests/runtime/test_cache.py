@@ -156,6 +156,32 @@ class TestStore:
         cache = ResultCache(tmp_path)
         assert cache.directory.name == f"v{SPEC_VERSION}"
 
+    def test_clear_removes_only_older_namespaces(self, tmp_path):
+        # A SPEC_VERSION bump strands the previous namespace where no
+        # listing or eviction looks; clear() is the one place it goes.
+        from repro.utils.serialization import SPEC_VERSION
+
+        stale_shard = tmp_path / "v1" / "ab"
+        stale_shard.mkdir(parents=True)
+        stale_key = "ab" * 32
+        (stale_shard / f"{stale_key}.json").write_text("{}")
+        (stale_shard / f"{stale_key}.npz").write_bytes(b"\0")
+        newer = tmp_path / f"v{SPEC_VERSION + 1}"
+        (newer / "cd").mkdir(parents=True)
+        (newer / "cd" / "entry.json").write_text("{}")
+        notes = tmp_path / "notes"
+        notes.mkdir()
+        (notes / "readme.json").write_text("{}")
+        cache = ResultCache(tmp_path)
+        cache.put(key_of(1), 1.0)
+
+        assert cache.clear() == 2  # the live entry + the stale one
+        assert not (tmp_path / "v1").exists()
+        assert (newer / "cd" / "entry.json").exists()
+        assert (notes / "readme.json").exists()
+        assert cache.directory.exists() and cache.stats()["entries"] == 0
+        assert cache.clear() == 0
+
     def test_torn_entry_is_a_miss(self, cache):
         cache.put(key_of(1), np.zeros(8))
         sidecar, npz = cache._paths(key_of(1))

@@ -343,6 +343,41 @@ class TestExecuteSpecBatch:
         assert not outcomes[1]["ok"]
         assert "batched" not in outcomes[0]  # fallback ran per point
 
+    @pytest.mark.parametrize("backend", ["kernel", "sampling"])
+    def test_negative_initial_state_is_a_captured_compile_error_everywhere(
+        self, backend
+    ):
+        # The batch axis differs per backend (initial_state vs rng), so the
+        # two groups fail on different sides of the fused path: the kernel
+        # batch refuses the index up front, the sampling batch raises from
+        # prepare().  Both must land as the serial path's captured error.
+        from repro.runtime import execute_spec_batch
+
+        if backend == "kernel":
+            kwargs = [{"initial_state": index} for index in (0, -1, 1)]
+        else:
+            kwargs = [
+                {"initial_state": -1, "shots": 64, "rng": seed} for seed in (0, 1, 2)
+            ]
+        payloads = [
+            RunSpec(problem=problem(), backend=backend, run_kwargs=run_kwargs)
+            .to_dict(canonical=True)
+            for run_kwargs in kwargs
+        ]
+        bad = [index for index, run_kwargs in enumerate(kwargs)
+               if run_kwargs["initial_state"] == -1]
+        for outcomes in (
+            SerialExecutor().map_specs(payloads),
+            ProcessExecutor(2, chunk_size=1).map_specs(payloads),
+            execute_spec_batch(payloads),
+        ):
+            for index, outcome in enumerate(outcomes):
+                if index in bad:
+                    assert not outcome["ok"]
+                    assert outcome["error"]["type"] == "CompileError"
+                else:
+                    assert outcome["ok"]
+
     def test_unbatchable_backend_matches_serial(self):
         import numpy as np
 
