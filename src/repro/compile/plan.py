@@ -35,7 +35,7 @@ diagonal visits are summed as angles and exponentiated once at bake time.
 
 Lowering is split in two.  Everything that depends on the Hamiltonian
 alone is computed once and kept in a bounded module-level LRU keyed on the
-as-written term tuple, the strategy, the ``trotter_split`` flag, the table
+as-written term sequence, the strategy, the ``trotter_split`` flag, the table
 and merge caps and the register width: each fragment's Pauli decomposition
 into ``(x, z, phase, coefficient)`` strings and its bake layout — factored
 sign mask, flip slices and the *unit angle table*
@@ -409,7 +409,7 @@ class EvolutionPlan:
 
 
 def plan_group_key(
-    problem_payload: dict,
+    problem_key: str,
     strategy: str,
     *,
     backend: str = "kernel",
@@ -425,15 +425,17 @@ def plan_group_key(
     ``(dim, B)`` evolution, so a 12-repeat grid point costs one plan replay
     instead of twelve.
 
-    ``problem_payload`` is the problem's **canonical** dict form (the hashed/
-    executed payload of :meth:`~repro.runtime.spec.RunSpec.to_dict`);
+    ``problem_key`` is the problem's
+    :meth:`~repro.compile.problem.SimulationProblem.content_key`, which
+    ignores term order: that is safe because the executors compile the
+    canonical (sorted) problem, so equal problem keys mean equal plans.
     ``shared_kwargs`` are the run kwargs *minus* the batch axis.
     """
     from repro.utils.serialization import content_hash
 
     return content_hash(
         {
-            "problem": problem_payload,
+            "problem": problem_key,
             "strategy": strategy.lower(),
             "backend": backend,
             "run_kwargs": dict(shared_kwargs or {}),
@@ -606,15 +608,18 @@ def _lowered(problem: "SimulationProblem", strategy: str) -> _Lowering:
 
     Served from :data:`_LOWERING_CACHE`, keyed on everything lowering and
     baking read: the strategy, the ``trotter_split`` flag, the table and
-    merge caps, the register width and the *as-written* term tuple.  Not
-    ``content_key()``: it sorts the terms, and term order is the order of
-    the Trotter product.  ``add_term`` changes the term tuple, so a mutated
-    Hamiltonian can never hit a stale entry.
+    merge caps, the register width and the *as-written* term sequence, as
+    the Hamiltonian's per-version
+    :meth:`~repro.operators.hamiltonian.Hamiltonian.sequence_key` (so a
+    lookup does not rehash every term).  Not ``content_key()`` alone: it
+    ignores term order, and term order is the order of the Trotter product.
+    ``add_term`` changes the sequence key, so a mutated Hamiltonian can
+    never hit a stale entry.
     """
     hamiltonian = problem.hamiltonian
     split_mode = problem.options.complex_mode == "trotter_split"
     key = (strategy, split_mode, _MAX_TABLE_BITS, _MAX_MERGED_DIAGONAL_BITS,
-           hamiltonian.num_qubits, hamiltonian.terms)
+           hamiltonian.num_qubits, hamiltonian.sequence_key())
     with _LOWERING_LOCK:
         lowering = _LOWERING_CACHE.pop(key, None)
         if lowering is not None:

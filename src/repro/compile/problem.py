@@ -76,20 +76,23 @@ class SimulationProblem:
         """JSON-able form of the whole problem.
 
         With ``canonical=True`` the Hamiltonian terms are emitted in sorted
-        order and the cosmetic ``name`` is dropped — the exact payload
-        :meth:`content_key` hashes, and the form the runtime layer executes
-        so equal keys imply bit-identical results.
+        order and the cosmetic ``name`` is dropped — the payload
+        :meth:`content_key` identifies, and the form the runtime layer
+        executes so equal keys imply bit-identical results.
         """
-        payload = {
-            "hamiltonian": self.hamiltonian.to_dict(canonical=canonical),
+        payload = self._payload(self.hamiltonian.to_dict(canonical=canonical))
+        if not canonical:
+            payload["name"] = self.name
+        return payload
+
+    def _payload(self, hamiltonian) -> dict:
+        return {
+            "hamiltonian": hamiltonian,
             "time": float(self.time),
             "steps": int(self.steps),
             "order": int(self.order),
             "options": self.options.to_dict(),
         }
-        if not canonical:
-            payload["name"] = self.name
-        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SimulationProblem":
@@ -107,10 +110,17 @@ class SimulationProblem:
 
     def content_key(self) -> str:
         """Stable content hash — invariant under Hamiltonian term reordering
-        and under the cosmetic ``name``, sensitive to everything physical."""
+        and under the cosmetic ``name``, sensitive to everything physical.
+
+        A Merkle key: it hashes ``{hamiltonian, time, steps, order,
+        options}`` with the Hamiltonian as its cached 64-hex
+        :meth:`~repro.operators.hamiltonian.Hamiltonian.content_key`, so it
+        costs O(1) in the number of terms once that digest is known.
+        """
         from repro.utils.serialization import content_hash
 
-        return content_hash(self.to_dict(canonical=True), tag="problem")
+        digest = self.hamiltonian.content_key()
+        return content_hash(self._payload(digest), tag="problem")
 
     # ----------------------------------------------------------------- queries
 

@@ -9,8 +9,11 @@ block-encoding of Section IV works with.
 
 from __future__ import annotations
 
+import marshal
+import threading
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,6 +60,41 @@ class HermitianFragment:
         return pauli.simplify()
 
 
+class _CanonicalForm(NamedTuple):
+    """One Hamiltonian version in canonical form, computed once per version."""
+
+    version: int
+    terms: tuple[SCBTerm, ...]  # sorted by SCBTerm.sort_key (stable)
+    #: ``order[j]`` is the as-written index of ``terms[j]``: with ``digest`` an
+    #: exact, order-sensitive identity of the as-written term list.
+    order: tuple[int, ...]
+    payload: tuple[tuple[str, float, float], ...]  # (label, re, im) per term
+    digest: str
+
+
+def _canonical_dict(num_qubits: int, payload: Sequence[tuple]) -> dict:
+    """The canonical JSON-able form, built fresh from a cached payload."""
+    return {
+        "num_qubits": num_qubits,
+        "terms": [
+            {"label": label, "coefficient": [re, im]} for label, re, im in payload
+        ],
+    }
+
+
+#: Parsed term payloads, so each distinct one is parsed (and sorted and
+#: hashed) once per process.  Keyed on the payload's ``marshal`` bytes in
+#: format 2 (no back-references, so equal payloads give equal bytes): they
+#: record exact types, float bits and container order, so two payloads that
+#: could parse differently (``-0.0`` and ``0.0``, ``1`` and ``1.0``) never
+#: share a key.  Each entry is ``(num_qubits, as-written terms, canonical
+#: form)``, all immutable.  A bounded LRU (hits move to the back, eviction
+#: pops the front) shared by every thread under one lock.
+_PARSED: "dict[bytes, tuple[int, tuple[SCBTerm, ...], _CanonicalForm]]" = {}
+_PARSED_CAP = 64
+_PARSED_LOCK = threading.Lock()
+
+
 class Hamiltonian:
     """A sum of SCB terms, the native problem description of the direct strategy."""
 
@@ -67,12 +105,23 @@ class Hamiltonian:
         self._terms: list[SCBTerm] = []
         self._evolve_matrix: sp.spmatrix | None = None
         # Mutation counter: bumped by every add_term so derived caches — the
-        # CSC evolution matrix above and content_key() below — can never go
-        # stale on an in-place edit.
+        # CSC evolution matrix above and the canonical form below — can never
+        # go stale on an in-place edit.
         self._version = 0
-        self._content_key: tuple[int, str] | None = None
+        self._form: _CanonicalForm | None = None
         for term in terms:
             self.add_term(term)
+
+    @classmethod
+    def _from_form(
+        cls, num_qubits: int, terms: Sequence[SCBTerm], form: _CanonicalForm
+    ) -> "Hamiltonian":
+        """A new Hamiltonian over already-validated terms, sharing ``form``."""
+        ham = cls(num_qubits)
+        ham._terms = list(terms)
+        ham._version = form.version
+        ham._form = form
+        return ham
 
     # ------------------------------------------------------------ constructors
 
@@ -160,44 +209,103 @@ class Hamiltonian:
         sorted order (by label, then coefficient) — the form
         :meth:`content_key` hashes and the form the runtime layer executes,
         so that any two Hamiltonians with equal content keys produce
-        bit-identical results.  The default preserves the as-written term
-        order (term order matters to the Trotter product).
+        bit-identical results.  It is built from the version's cached
+        canonical form, as fresh dicts the caller may modify.  The default
+        preserves the as-written term order (term order matters to the
+        Trotter product).
         """
-        terms = self._terms
         if canonical:
-            terms = sorted(terms, key=lambda t: t.sort_key())
+            return _canonical_dict(self.num_qubits, self._canonical_form().payload)
         return {
             "num_qubits": self.num_qubits,
-            "terms": [term.to_dict() for term in terms],
+            "terms": [term.to_dict() for term in self._terms],
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Hamiltonian":
-        """Inverse of :meth:`to_dict` (term order preserved as serialized)."""
-        return cls(
+        """Inverse of :meth:`to_dict` (term order preserved as serialized).
+
+        Each distinct payload is parsed once per process (see
+        :data:`_PARSED`); a repeat returns a new, independent Hamiltonian that
+        shares the immutable terms and the cached canonical form, so its
+        :meth:`content_key` costs nothing and mutating it cannot change what
+        the next parse returns.  A payload holding anything but built-in
+        JSON-like values (numpy scalars, subclasses) is parsed without the
+        memo, and so is a malformed one, which raises as it always has.
+        """
+        try:
+            key = marshal.dumps((payload["num_qubits"], payload["terms"]), 2)
+        except (LookupError, TypeError, ValueError):
+            key = None
+        with _PARSED_LOCK:
+            entry = _PARSED.pop(key, None)
+            if entry is not None:
+                _PARSED[key] = entry  # re-insertion moves the hit to the back
+        if entry is not None:
+            return cls._from_form(*entry)
+        ham = cls(
             payload["num_qubits"],
             (SCBTerm.from_dict(term) for term in payload["terms"]),
         )
+        if key is not None:
+            entry = (ham.num_qubits, tuple(ham._terms), ham._canonical_form())
+            with _PARSED_LOCK:
+                while len(_PARSED) >= _PARSED_CAP:
+                    _PARSED.pop(next(iter(_PARSED)))
+                _PARSED[key] = entry
+        return ham
 
     def canonical(self) -> "Hamiltonian":
         """Copy with terms in canonical sorted order (same content key)."""
-        return Hamiltonian(
-            self.num_qubits, sorted(self._terms, key=lambda t: t.sort_key())
-        )
+        form = self._canonical_form()
+        in_order = form._replace(order=tuple(range(len(form.terms))))
+        return Hamiltonian._from_form(self.num_qubits, form.terms, in_order)
+
+    def _canonical_form(self) -> _CanonicalForm:
+        """The current version's canonical terms, payload and digest.
+
+        Computed once per :attr:`version`: :meth:`add_term` bumps the
+        version, so an in-place edit can never be served a stale form.
+        """
+        form = self._form
+        if form is None or form.version != self._version:
+            from repro.utils.serialization import complex_to_json, content_hash
+
+            terms = self._terms
+            order = tuple(sorted(range(len(terms)), key=lambda i: terms[i].sort_key()))
+            payload = tuple(
+                (terms[i].label, *complex_to_json(terms[i].coefficient)) for i in order
+            )
+            digest = content_hash(
+                _canonical_dict(self.num_qubits, payload), tag="hamiltonian"
+            )
+            form = _CanonicalForm(
+                self._version, tuple(terms[i] for i in order), order, payload, digest
+            )
+            self._form = form
+        return form
 
     def content_key(self) -> str:
-        """Stable content hash of the canonical form.
+        """Stable content hash (64 hex) of the canonical form.
 
-        Invariant under term reordering, invalidated by :meth:`add_term`
-        (the cached digest is keyed on the internal mutation counter, so an
-        in-place edit can never serve a stale key).
+        ``content_hash({num_qubits, terms}, tag="hamiltonian")`` over the
+        sorted terms: invariant under term reordering, computed once per
+        :attr:`version` (so :meth:`add_term` invalidates it).  Problem, run,
+        sweep and plan-group keys hash this digest, not the term list.
         """
-        from repro.utils.serialization import content_hash
+        return self._canonical_form().digest
 
-        if self._content_key is None or self._content_key[0] != self._version:
-            digest = content_hash(self.to_dict(canonical=True), tag="hamiltonian")
-            self._content_key = (self._version, digest)
-        return self._content_key[1]
+    def sequence_key(self) -> tuple[str, tuple[int, ...]]:
+        """Order-sensitive identity of the as-written term list.
+
+        ``(content_key(), order)`` with ``order`` the permutation that sorts
+        the terms: equal exactly when the term sequences are, and cached per
+        :attr:`version` like the digest.  Term order is the Trotter
+        product's order, so this — not :meth:`content_key` — is what a
+        lowering is keyed on.
+        """
+        form = self._canonical_form()
+        return form.digest, form.order
 
     # ----------------------------------------------------------- fragmentation
 

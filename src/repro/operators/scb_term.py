@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,8 +38,7 @@ class SCBTerm:
         One character per qubit using the labels of
         :meth:`SCBOperator.from_label` (``I X Y Z n m s d`` with aliases).
         """
-        factors = tuple(SCBOperator.from_label(c) for c in label)
-        return cls(complex(coefficient), factors)
+        return cls(complex(coefficient), tuple(map(SCBOperator.from_label, label)))
 
     @classmethod
     def from_sparse_label(
@@ -62,8 +62,9 @@ class SCBTerm:
     def num_qubits(self) -> int:
         return len(self.factors)
 
-    @property
+    @cached_property
     def label(self) -> str:
+        """One character per factor; built once (the term is frozen)."""
         return "".join(op.label for op in self.factors)
 
     def __str__(self) -> str:

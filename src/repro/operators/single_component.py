@@ -115,15 +115,10 @@ class SCBOperator(enum.Enum):
         ``M``→``m``, ``+``→``σ`` (= ``s``), ``-``→``σ†`` (= ``d``), ``S``→``s``,
         ``D``→``d``.
         """
-        aliases = {
-            "I": cls.I, "X": cls.X, "Y": cls.Y, "Z": cls.Z,
-            "n": cls.N, "N": cls.N, "m": cls.M, "M": cls.M,
-            "s": cls.SIGMA, "S": cls.SIGMA, "+": cls.SIGMA,
-            "d": cls.SIGMA_DAG, "D": cls.SIGMA_DAG, "-": cls.SIGMA_DAG,
-        }
-        if label not in aliases:
+        op = _BY_LABEL.get(label)
+        if op is None:
             raise OperatorError(f"unknown Single Component Basis label {label!r}")
-        return aliases[label]
+        return op
 
     # --------------------------------------------------------------- transition
 
@@ -157,6 +152,16 @@ class SCBOperator(enum.Enum):
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"SCBOperator({self.label})"
 
+
+#: Every accepted one-character spelling → its operator (see
+#: :meth:`SCBOperator.from_label`); term labels parse through it one lookup
+#: per character.
+_BY_LABEL: dict[str, SCBOperator] = {
+    "I": SCBOperator.I, "X": SCBOperator.X, "Y": SCBOperator.Y, "Z": SCBOperator.Z,
+    "n": SCBOperator.N, "N": SCBOperator.N, "m": SCBOperator.M, "M": SCBOperator.M,
+    "s": SCBOperator.SIGMA, "S": SCBOperator.SIGMA, "+": SCBOperator.SIGMA,
+    "d": SCBOperator.SIGMA_DAG, "D": SCBOperator.SIGMA_DAG, "-": SCBOperator.SIGMA_DAG,
+}
 
 #: The eight operators in a canonical order (matches Table IV of the paper).
 ALL_SCB_OPERATORS: tuple[SCBOperator, ...] = (

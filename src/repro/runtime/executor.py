@@ -20,14 +20,16 @@ from __future__ import annotations
 import logging
 import math
 import os
+import threading
 import time
 import traceback
 from collections.abc import Callable, Sequence
+from dataclasses import replace
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.exceptions import SpecError
+from repro.exceptions import ReproError, SpecError
 from repro.resilience import fault_point
 from repro.resilience import reset_process as _reset_fault_state
 from repro.telemetry import current_trace_context, metrics, span, trace_context
@@ -47,29 +49,43 @@ logger = logging.getLogger("repro.runtime.executor")
 #: move to the back, eviction pops the front) so a long-lived pool cannot
 #: hoard build products — and so two strategies interleaved across a wide
 #: sweep keep their hot programs instead of FIFO-thrashing each other out.
+#: One lock guards it: the daemon's worker threads share it.
 _PROGRAM_MEMO: dict[tuple[str, str], Any] = {}
 _PROGRAM_MEMO_CAP = 32
+_PROGRAM_LOCK = threading.Lock()
 
 
 def _memoized_program(problem, strategy: str):
+    """The compiled program of the problem's *canonical* form.
+
+    The key ignores term order, so a miss compiles the problem with its
+    terms sorted: what a key maps to never depends on which term order was
+    seen first.  ``compile_problem`` is lazy (circuits and plans are built on
+    first run), so it runs under the lock.
+    """
     from repro.compile.pipeline import compile_problem
 
     key = (problem.content_key(), strategy.lower())
-    program = _PROGRAM_MEMO.get(key)
-    if program is None:
-        metrics.incr("compile.memo_misses")
-        program = compile_problem(problem, strategy)
-        while len(_PROGRAM_MEMO) >= _PROGRAM_MEMO_CAP:
-            _PROGRAM_MEMO.pop(next(iter(_PROGRAM_MEMO)))
-    else:
-        metrics.incr("compile.memo_hits")
-        del _PROGRAM_MEMO[key]  # re-insertion moves the hit to the LRU back
-    _PROGRAM_MEMO[key] = program
+    with _PROGRAM_LOCK:
+        program = _PROGRAM_MEMO.pop(key, None)
+        if program is None:
+            metrics.incr("compile.memo_misses")
+            canonical = replace(problem, hamiltonian=problem.hamiltonian.canonical())
+            program = compile_problem(canonical, strategy)
+            while len(_PROGRAM_MEMO) >= _PROGRAM_MEMO_CAP:
+                _PROGRAM_MEMO.pop(next(iter(_PROGRAM_MEMO)))
+        else:
+            metrics.incr("compile.memo_hits")
+        _PROGRAM_MEMO[key] = program  # (re-)insertion puts it at the LRU back
     return program
 
 
 def execute_spec(payload: dict) -> dict:
-    """Run one canonical RunSpec dict; never raises.
+    """Run one RunSpec dict; never raises.
+
+    The payload's problem is compiled in its canonical form (terms sorted),
+    whatever order the payload lists them in, so payloads with equal content
+    keys give bit-identical results in any call order.
 
     Returns ``{"ok": True, "result": meta, "arrays": {...}, "wall_time": s,
     "timings": {phase: s}}`` on success and ``{"ok": False, "error": {type,
@@ -166,7 +182,7 @@ BATCH_AXES: dict[str, str] = {"kernel": "initial_state", "sampling": "rng"}
 
 
 def batch_key(payload: dict) -> "str | None":
-    """The plan-batching group key of one canonical RunSpec payload.
+    """The plan-batching group key of one RunSpec payload.
 
     ``None`` when the payload's backend has no batch axis.  Payloads with
     equal keys compile to the same program/plan and differ only along the
@@ -176,10 +192,15 @@ def batch_key(payload: dict) -> "str | None":
     if axis is None:
         return None
     from repro.compile.plan import plan_group_key
+    from repro.compile.problem import SimulationProblem
 
+    try:
+        problem_key = SimulationProblem.from_dict(payload["problem"]).content_key()
+    except (LookupError, TypeError, ValueError, ReproError):
+        return None  # runs alone; execute_spec captures its error
     run_kwargs = payload.get("run_kwargs", {})
     return plan_group_key(
-        payload["problem"],
+        problem_key,
         payload.get("strategy", "direct"),
         backend=payload["backend"],
         shared_kwargs={k: v for k, v in run_kwargs.items() if k != axis},

@@ -8,12 +8,21 @@ processes and worker counts.
 
 Canonical semantics
 -------------------
-``content_key()`` hashes the *canonical* form of the spec: Hamiltonian terms
-in sorted order, the cosmetic ``label``/``name`` dropped.  The
-:class:`~repro.runtime.session.Session` executes that same canonical form
-(every task is reconstructed from ``to_dict(canonical=True)``), so two specs
-with equal content keys produce bit-identical results — a cache hit can never
-disagree with a recomputation.
+``content_key()`` identifies the *canonical* form of the spec: Hamiltonian
+terms in sorted order, the cosmetic ``label``/``name`` dropped.  Keys are
+Merkle keys: a Hamiltonian hashes its sorted terms once per version into a
+64-hex digest, the problem key hashes that digest with the time, steps,
+order and options, and the run and sweep keys hash the problem key with
+their own fields.  Once a process has seen a Hamiltonian
+(:meth:`~repro.operators.hamiltonian.Hamiltonian.from_dict` parses each
+distinct term payload once per process), a grid point's key costs O(1) in
+its number of terms.
+
+:func:`~repro.runtime.executor.execute_spec` compiles the canonical form of
+any payload it is given, and the :class:`~repro.runtime.session.Session`
+sends it canonical payloads to begin with (``to_dict(canonical=True)``), so
+two specs with equal content keys produce bit-identical results — a cache
+hit can never disagree with a recomputation.
 """
 
 from __future__ import annotations
@@ -106,18 +115,21 @@ class RunSpec:
     # ----------------------------------------------------------- serialization
 
     def to_dict(self, *, canonical: bool = False) -> dict:
-        """JSON-able form; ``canonical=True`` is the hashed/executed payload."""
-        payload = {
+        """JSON-able form; ``canonical=True`` is the executed payload."""
+        payload = self._payload(self.problem.to_dict(canonical=canonical))
+        if not canonical:
+            payload["label"] = self.label
+        return payload
+
+    def _payload(self, problem) -> dict:
+        return {
             "spec": "run",
             "version": SPEC_VERSION,
-            "problem": self.problem.to_dict(canonical=canonical),
+            "problem": problem,
             "strategy": self.strategy,
             "backend": self.backend,
             "run_kwargs": dict(self.run_kwargs),
         }
-        if not canonical:
-            payload["label"] = self.label
-        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunSpec":
@@ -131,8 +143,14 @@ class RunSpec:
         )
 
     def content_key(self) -> str:
-        """Stable content hash of the canonical payload."""
-        return content_hash(self.to_dict(canonical=True), tag="runspec")
+        """Stable content hash of the canonical payload.
+
+        A Merkle key over ``{spec, version, problem, strategy, backend,
+        run_kwargs}`` with ``problem`` as its
+        :meth:`~repro.compile.problem.SimulationProblem.content_key`: equal
+        exactly when the canonical payloads are, O(1) in the number of terms.
+        """
+        return content_hash(self._payload(self.problem.content_key()), tag="runspec")
 
     def describe(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
@@ -317,11 +335,17 @@ class SweepSpec:
     # ----------------------------------------------------------- serialization
 
     def to_dict(self, *, canonical: bool = False) -> dict:
-        """JSON-able form; ``canonical=True`` is the hashed payload."""
-        payload = {
+        """JSON-able form; ``canonical=True`` drops the cosmetic ``name``."""
+        payload = self._payload(self.problem.to_dict(canonical=canonical))
+        if not canonical:
+            payload["name"] = self.name
+        return payload
+
+    def _payload(self, problem) -> dict:
+        return {
             "spec": "sweep",
             "version": SPEC_VERSION,
-            "problem": self.problem.to_dict(canonical=canonical),
+            "problem": problem,
             "strategies": list(self.strategies),
             "backend": self.backend,
             "steps": None if self.steps is None else list(self.steps),
@@ -336,9 +360,6 @@ class SweepSpec:
             "repeats": self.repeats,
             "seed": None if self.seed is None else int(self.seed),
         }
-        if not canonical:
-            payload["name"] = self.name
-        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SweepSpec":
@@ -365,9 +386,10 @@ class SweepSpec:
 
         Invariant under Hamiltonian term reordering and the cosmetic ``name``
         (the per-point :meth:`RunSpec.content_key` is what the cache
-        addresses; the sweep key identifies the grid as a whole).
+        addresses; the sweep key identifies the grid as a whole).  Like the
+        run key it hashes the problem's content key, not its terms.
         """
-        return content_hash(self.to_dict(canonical=True), tag="sweepspec")
+        return content_hash(self._payload(self.problem.content_key()), tag="sweepspec")
 
     def describe(self) -> str:
         axes = ", ".join(

@@ -25,12 +25,14 @@ import numpy as np
 
 from repro.exceptions import ReproError
 
-#: Bump when the canonical encoding of any core datatype changes shape, or
-#: when the value computed for an unchanged key changes (numerics that move
-#: results, even by rounding) — every content key (and with it every cache
-#: entry) is versioned by this tag, so old results are never served beside
-#: new ones.
-SPEC_VERSION = 2
+#: Bump when the canonical encoding of any core datatype changes shape, when
+#: the way content keys are composed changes (3: problem, run, sweep and
+#: plan-group keys hash the Hamiltonian's digest and the problem's key
+#: instead of the nested payloads), or when the value computed for an
+#: unchanged key changes (numerics that move results, even by rounding) —
+#: every content key (and with it every cache entry) is versioned by this
+#: tag, so old results are never served beside new ones.
+SPEC_VERSION = 3
 
 
 class SerializationError(ReproError):

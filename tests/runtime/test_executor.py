@@ -253,6 +253,118 @@ class TestProgramMemoLRU:
         assert _memoized_program(problem(), "direct") is first
 
 
+class TestProgramMemoConcurrency:
+    def test_concurrent_lookups_never_raise_and_hold_the_cap(self, monkeypatch):
+        # `serve --workers N` runs N worker threads through this one memo.
+        import os
+        import random
+        import sys
+        import threading
+        import time
+
+        from repro.runtime import executor as executor_module
+
+        monkeypatch.setattr(executor_module, "_PROGRAM_MEMO_CAP", 3)
+        monkeypatch.setattr(executor_module, "_PROGRAM_MEMO", {})
+        problems = [problem(time=0.1 * k) for k in range(1, 6)]
+        keys = [p.content_key() for p in problems]
+        errors: list = []
+        sizes: list = []
+        deadline = time.monotonic() + 1.5
+
+        def look_up_until_deadline(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                while time.monotonic() < deadline:
+                    index = rng.randrange(len(problems))
+                    program = executor_module._memoized_program(problems[index], "direct")
+                    assert program.problem.content_key() == keys[index]
+                    sizes.append(len(executor_module._PROGRAM_MEMO))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=look_up_until_deadline, args=(seed,))
+            for seed in range(2 * (os.cpu_count() or 1) + 2)  # more threads than cores
+        ]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so races show up
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sizes and max(sizes) <= 3
+
+
+class TestCanonicalExecution:
+    """Payloads with equal content keys give bit-identical results in any
+    call order: every executor compiles the canonical (sorted) problem."""
+
+    # XXI and YIY anticommute, so at order 1 the as-written order matters.
+    TERMS = [("XXI", 0.7), ("IZZ", 0.4), ("YIY", 0.5)]
+
+    def payload(self, terms, backend="statevector", initial_state=1):
+        return RunSpec(
+            problem=repro.SimulationProblem.from_labels(3, terms, time=0.8),
+            backend=backend,
+            run_kwargs={"initial_state": initial_state},
+        ).to_dict()
+
+    def test_as_written_orders_really_differ(self):
+        import numpy as np
+
+        from repro.compile.pipeline import compile_problem
+
+        def run(terms):
+            p = repro.SimulationProblem.from_labels(3, terms, time=0.8)
+            return compile_problem(p, "direct").run(initial_state=1).data
+
+        assert not np.allclose(run(self.TERMS), run(self.TERMS[::-1]))
+
+    def test_execute_spec_does_not_depend_on_call_order(self, monkeypatch):
+        import numpy as np
+
+        from repro.runtime import executor as executor_module
+
+        forward, reverse = self.payload(self.TERMS), self.payload(self.TERMS[::-1])
+        canonical = RunSpec.from_dict(forward).to_dict(canonical=True)
+        assert RunSpec.from_dict(reverse).content_key() == RunSpec.from_dict(
+            canonical
+        ).content_key()
+        runs = []
+        for order in ((canonical,), (forward, reverse), (reverse, forward)):
+            monkeypatch.setattr(executor_module, "_PROGRAM_MEMO", {})
+            for payload in order:
+                outcome = execute_spec(payload)
+                assert outcome["ok"], outcome.get("error")
+                runs.append(outcome["arrays"]["data"])
+        for data in runs[1:]:
+            assert np.array_equal(data, runs[0])
+
+    def test_batches_compile_the_canonical_form_too(self, monkeypatch):
+        import numpy as np
+
+        from repro.runtime import execute_spec_batch
+        from repro.runtime import executor as executor_module
+
+        def batch(terms):
+            return [self.payload(terms, "kernel", state) for state in (1, 6)]
+
+        monkeypatch.setattr(executor_module, "_PROGRAM_MEMO", {})
+        reference = [execute_spec(p) for p in batch(sorted(self.TERMS))]
+        for terms in (self.TERMS[::-1], self.TERMS):
+            monkeypatch.setattr(executor_module, "_PROGRAM_MEMO", {})
+            fused = execute_spec_batch(batch(terms))
+            assert [outcome.get("batched") for outcome in fused] == [2, 2]
+            for outcome, ref in zip(fused, reference):
+                assert np.array_equal(outcome["arrays"]["data"], ref["arrays"]["data"])
+
+
 class TestBatchGrouping:
     def kernel_payload(self, initial_state=0, steps=1):
         return RunSpec(
@@ -275,6 +387,17 @@ class TestBatchGrouping:
         c = batch_key(self.kernel_payload(initial_state=0, steps=2))
         assert a == b  # differ only along the batch axis
         assert a != c  # different compile → different plan → different group
+
+    def test_malformed_point_gets_no_batch_key_and_fails_alone(self):
+        from repro.runtime import batch_key
+
+        bad = self.kernel_payload(initial_state=1)
+        bad["problem"]["hamiltonian"]["terms"][0]["label"] = "nsQI"
+        assert batch_key(bad) is None
+        payloads = [self.kernel_payload(0), bad, self.kernel_payload(2)]
+        outcomes = ProcessExecutor(1).map_specs(payloads)
+        assert [o["ok"] for o in outcomes] == [True, False, True]
+        assert outcomes[1]["error"]["type"] == "OperatorError"
 
     def test_group_payloads_consecutive_and_order_preserving(self):
         from repro.runtime import group_payloads
