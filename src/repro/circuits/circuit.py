@@ -74,7 +74,8 @@ class QuantumCircuit:
         return self
 
     def extend(self, instructions: Iterable[Instruction]) -> "QuantumCircuit":
-        for instr in instructions:
+        # A snapshot first: ``qc.extend(qc)`` must not chase its own appends.
+        for instr in list(instructions):
             self.append(instr.gate, instr.qubits)
         return self
 
@@ -84,8 +85,10 @@ class QuantumCircuit:
         """Append all instructions of ``other`` onto this circuit (in place).
 
         ``qubits`` maps the qubits of ``other`` onto qubits of this circuit;
-        by default ``other`` must have the same width and is applied
-        one-to-one.
+        by default ``other`` must be no wider and is applied one-to-one, by
+        extending this circuit's list with ``other``'s already validated (and
+        immutable) instructions.  Composing a circuit into itself appends
+        one copy of its instructions as they were before the call.
         """
         if qubits is None:
             if other.num_qubits > self.num_qubits:
@@ -93,7 +96,7 @@ class QuantumCircuit:
                     f"cannot compose a {other.num_qubits}-qubit circuit onto "
                     f"{self.num_qubits} qubits without a qubit map"
                 )
-            mapping = tuple(range(other.num_qubits))
+            self._instructions.extend(other._instructions)
         else:
             mapping = check_qubit_indices(qubits, self.num_qubits)
             if len(mapping) != other.num_qubits:
@@ -101,8 +104,10 @@ class QuantumCircuit:
                     f"qubit map has {len(mapping)} entries for a "
                     f"{other.num_qubits}-qubit circuit"
                 )
-        for instr in other._instructions:
-            self.append(instr.gate, tuple(mapping[q] for q in instr.qubits))
+            for instr in tuple(other._instructions):
+                self._instructions.append(
+                    Instruction(instr.gate, tuple(mapping[q] for q in instr.qubits))
+                )
         self.global_phase += other.global_phase
         return self
 

@@ -2,14 +2,17 @@
 
 The mixed-state counterpart of :mod:`repro.circuits.statevector`: the state
 ``ρ`` is kept as a ``(2,)*2n`` tensor — the first ``n`` axes are row (ket)
-indices, the last ``n`` are column (bra) indices — and every operation is a
-pair of :func:`~repro.circuits.statevector.apply_matrix` contractions,
+indices, the last ``n`` are column (bra) indices — and every gate is applied
+twice by the statevector module's structured dispatcher,
 
-    ``ρ ← U ρ U†``   =  contract ``U`` into the row axes, ``conj(U)`` into the
-    column axes,
+    ``ρ ← U ρ U†``   =  ``U`` on the row axes, ``conj(U)`` on the column axes,
 
-so a gate costs exactly two tensordots and a ``k``-qubit Kraus channel costs
-``2·(#Kraus)`` of them — no Python loop over matrix elements.  Memory is
+so a gate costs two of its structured kernels (two gathers for a
+permutation, two in-place multiplies for a diagonal gate, two tensordots on
+the control slice or the whole tensor otherwise), and a ``k``-qubit Kraus
+channel costs ``2·(#Kraus)``
+:func:`~repro.circuits.statevector.apply_matrix` contractions — no Python
+loop over matrix elements.  Memory is
 ``4^n`` amplitudes; the class guards construction at
 :data:`DENSITY_MAX_QUBITS` qubits (override per call) the same way the dense
 unitary path guards ``unitary_max_qubits``.
@@ -23,7 +26,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.statevector import Statevector, apply_matrix, sample_outcome_counts
+from repro.circuits.statevector import (
+    Statevector,
+    _apply_op,
+    _lower_gate,
+    apply_matrix,
+    sample_outcome_counts,
+)
 from repro.exceptions import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -138,9 +147,11 @@ class DensityMatrix:
         """``ρ`` after the circuit, with the noise model's channel after each gate.
 
         With ``noise_model=None`` (or an ideal model) this is exact unitary
-        conjugation gate by gate; channels from the model are looked up by
-        gate *name*, so noisy runs must evolve the logical circuit — fused
-        ``MatrixGate`` blocks would hide the names the model keys on.
+        conjugation gate by gate, each gate applied by its structure (see
+        :mod:`repro.circuits.statevector`) on a private copy of ``ρ``;
+        channels from the model are looked up by gate *name*, so noisy runs
+        must evolve the logical circuit — fused ``MatrixGate`` blocks would
+        hide the names the model keys on.
         """
         if circuit.num_qubits != self.num_qubits:
             raise SimulationError(
@@ -148,13 +159,11 @@ class DensityMatrix:
             )
         n = self.num_qubits
         noisy = noise_model is not None and noise_model.has_gate_noise
-        tensor = self._tensor()
+        tensor = self._tensor().copy()
         for instr in circuit:
-            matrix = instr.gate.matrix()
-            tensor = apply_matrix(tensor, matrix, instr.qubits)
-            tensor = apply_matrix(
-                tensor, matrix.conj(), [q + n for q in instr.qubits]
-            )
+            op = _lower_gate(instr.gate, instr.qubits, n)
+            tensor = _apply_op(tensor, op, n)
+            tensor = _apply_op(tensor, op, n, first=n, conj=True)
             if noisy:
                 for channel, targets in noise_model.channels_for(
                     instr.name, instr.qubits

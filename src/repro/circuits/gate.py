@@ -23,8 +23,8 @@ import numpy as np
 
 from repro.circuits.standard_gates import (
     ROTATION_GATES,
+    STANDARD_GATES,
     standard_gate_matrix,
-    standard_gate_num_qubits,
 )
 from repro.exceptions import GateError
 from repro.utils.bits import int_to_bits
@@ -65,9 +65,16 @@ class StandardGate(Gate):
     def __init__(self, name: str, params: Sequence[float] = ()):
         self.name = name
         self.params = tuple(float(p) for p in params)
-        self._num_qubits = standard_gate_num_qubits(name)
-        # Fail fast on a wrong number of parameters.
-        standard_gate_matrix(name, self.params)
+        # Fail fast on an unknown name or a wrong number of parameters, from
+        # the registry alone: building the matrix here would cost every gate
+        # (and every inverse) a matrix it may never need.
+        if name not in STANDARD_GATES:
+            raise GateError(f"unknown standard gate {name!r}")
+        self._num_qubits, num_params, _ = STANDARD_GATES[name]
+        if len(self.params) != num_params:
+            raise GateError(
+                f"gate {name!r} expects {num_params} parameter(s), got {len(self.params)}"
+            )
 
     @property
     def num_qubits(self) -> int:
@@ -105,7 +112,9 @@ class StandardGate(Gate):
         )
 
     def __hash__(self) -> int:
-        return hash((self.name, self.params))
+        # Equality compares parameters with a tolerance, so the hash may only
+        # read what equal gates share exactly: the name and parameter count.
+        return hash((self.name, len(self.params)))
 
 
 class UnitaryGate(Gate):

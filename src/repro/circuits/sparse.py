@@ -1,6 +1,7 @@
 """Sparse (CSR) gate application for statevector runs past the dense limit.
 
-The dense kernel of :mod:`repro.circuits.statevector` touches every amplitude
+The dense reference kernel of :mod:`repro.circuits.statevector`
+(:func:`~repro.circuits.statevector.apply_matrix`) touches every amplitude
 with a ``2^k``-wide tensordot per gate.  Most gates of the circuits this
 library builds are far sparser than a generic ``2^k × 2^k`` matrix: ``cx``,
 ``cz``, ``cp``, ``rz`` and every multi-controlled gate have at most one

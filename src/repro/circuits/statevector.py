@@ -1,23 +1,54 @@
 """Vectorized statevector simulation.
 
-The simulator follows the idiom recommended by the scientific-Python
-optimisation guides: the state is kept as an ``n``-dimensional tensor of shape
-``(2,) * n`` and every gate application is a single ``np.tensordot`` over the
-target axes followed by an axis permutation — no Python loop over amplitudes.
-An optional trailing batch axis lets the same kernel evolve many states (or a
-full unitary) at once.
+The state is kept as an ``n``-dimensional tensor of shape ``(2,) * n``
+(optionally followed by batch axes), and each gate is applied by its
+structure, chosen once from the gate's type — never by inspecting matrix
+entries:
+
+* an X-type permutation (``x``, ``cx``, ``ccx``, ``swap``, ``cswap`` or a
+  :class:`~repro.circuits.gate.ControlledGate` over ``x`` or ``swap``, any
+  ``ctrl_state``) is one gather through a cached, read-only index table;
+* a diagonal gate (a :data:`~repro.circuits.standard_gates.DIAGONAL_GATES`
+  member, or a ``ControlledGate`` over one) is one in-place multiply by its
+  phases, on the control slice only when it is controlled;
+* any other ``ControlledGate`` applies its base matrix to the control slice;
+* everything else — fused ``MatrixGate`` blocks included — is one
+  :func:`apply_matrix` ``np.tensordot`` over the target axes.
+
+:func:`apply_matrix` stays the dense reference the structured paths are
+property-tested against, and the one :func:`~repro.circuits.unitary.circuit_unitary`
+uses.  An optional trailing batch axis lets the same kernels evolve many
+states at once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gate import ControlledGate, Gate, StandardGate
+from repro.circuits.standard_gates import DIAGONAL_GATES
 from repro.exceptions import SimulationError
-from repro.utils.bits import int_to_bitstring
+from repro.utils.bits import int_to_bits, int_to_bitstring
+
+#: Byte budget of the process-wide index-table LRU (:data:`_TABLES`).  A
+#: 10-qubit table is 8 KiB, so this holds thousands of them; a single table
+#: larger than the budget is built and used but never stored.
+_TABLE_CACHE_BYTES = 64 << 20
+
+#: Bases whose (controlled) action permutes basis states by flipping bits.
+_PERMUTATION_BASES = frozenset({"x", "swap"})
+
+#: Standard gates that are all-ones-controlled permutation bases:
+#: name -> (number of controls, base name).
+_CONTROLLED_STANDARD = {"cx": (1, "x"), "ccx": (2, "x"), "cswap": (1, "swap")}
+
+_GATHER, _DIAGONAL, _DENSE = range(3)
 
 
 def apply_matrix(
@@ -42,6 +73,160 @@ def apply_matrix(
     moved = np.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), list(qubits)))
     # tensordot puts the gate's output axes first; move them back into place.
     return np.moveaxis(moved, range(k), qubits)
+
+
+class _IndexTables:
+    """Read-only gather tables of the permutation gates, shared process-wide.
+
+    A table depends only on its key — (register width, qubits, base name,
+    ``ctrl_state``) — so one LRU bounded in bytes (hits move to the back,
+    eviction pops the front) serves every thread under one lock.
+    """
+
+    def __init__(self, cap_bytes: int):
+        self.cap_bytes = cap_bytes
+        self.nbytes = 0
+        self._tables: dict[tuple, np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple) -> np.ndarray:
+        with self._lock:
+            table = self._tables.pop(key, None)
+            if table is not None:
+                self._tables[key] = table  # re-insertion moves the hit to the back
+                return table
+        table = _permutation_table(*key)
+        if table.nbytes <= self.cap_bytes:
+            with self._lock:
+                if key not in self._tables:
+                    while self.nbytes + table.nbytes > self.cap_bytes:
+                        evicted = self._tables.pop(next(iter(self._tables)))
+                        self.nbytes -= evicted.nbytes
+                    self._tables[key] = table
+                    self.nbytes += table.nbytes
+        return table
+
+
+_TABLES = _IndexTables(_TABLE_CACHE_BYTES)
+
+
+def _permutation_table(
+    num_qubits: int, qubits: tuple[int, ...], base: str, ctrl_state: int
+) -> np.ndarray:
+    """``new[i] = old[table[i]]`` for a controlled ``x`` or ``swap``.
+
+    ``qubits`` lists the controls first, then the base's targets.  Both bases
+    are involutions, so the table is its own inverse.
+    """
+    index = np.arange(1 << num_qubits, dtype=np.intp)
+    bits = [1 << (num_qubits - 1 - q) for q in qubits]
+    if base == "x":
+        num_ctrl = len(qubits) - 1
+        moved = index ^ bits[-1]
+    else:
+        num_ctrl = len(qubits) - 2
+        a, b = qubits[-2:]
+        differ = ((index >> (num_qubits - 1 - a)) ^ (index >> (num_qubits - 1 - b))) & 1
+        moved = index ^ (differ * (bits[-2] | bits[-1]))
+    if num_ctrl:
+        mask = sum(bits[:num_ctrl])
+        pattern = sum(
+            bit for bit, on in zip(bits, int_to_bits(ctrl_state, num_ctrl)) if on
+        )
+        moved = np.where((index & mask) == pattern, moved, index)
+    moved.setflags(write=False)
+    return moved
+
+
+class _GateOp(NamedTuple):
+    """How one instruction is applied, decided once from its gate's type."""
+
+    kind: int  # _GATHER, _DIAGONAL or _DENSE
+    targets: tuple[int, ...]  # register qubits the base acts on
+    controls: tuple[tuple[int, int], ...]  # (qubit, bit) slicing pairs
+    #: The index table, the phases as a ``(2,) * k`` tensor over ``targets``
+    #: (ascending), or the base matrix.
+    data: np.ndarray
+
+
+def _lower_gate(gate: Gate, qubits: tuple[int, ...], num_qubits: int) -> _GateOp:
+    """Pick the structured path of ``gate`` on ``qubits`` from its type.
+
+    Nested controls are flattened (outer controls first), and ``cx``,
+    ``ccx`` and ``cswap`` count as controlled permutation bases.
+    """
+    num_ctrl = ctrl_state = 0
+    while isinstance(gate, ControlledGate):
+        num_ctrl += gate.num_ctrl
+        ctrl_state = (ctrl_state << gate.num_ctrl) | gate.ctrl_state
+        gate = gate.base
+    name = gate.name if isinstance(gate, StandardGate) else None
+    if name in _CONTROLLED_STANDARD:
+        extra, name = _CONTROLLED_STANDARD[name]
+        num_ctrl += extra
+        ctrl_state = (ctrl_state << extra) | ((1 << extra) - 1)
+    if name in _PERMUTATION_BASES:
+        table = _TABLES.get((num_qubits, tuple(qubits), name, ctrl_state))
+        return _GateOp(_GATHER, (), (), table)
+    controls = ()
+    if num_ctrl:
+        controls = tuple(zip(qubits[:num_ctrl], int_to_bits(ctrl_state, num_ctrl)))
+    targets = tuple(qubits[num_ctrl:])
+    if name in DIAGONAL_GATES:
+        phases = gate.matrix().diagonal().reshape((2,) * len(targets))
+        if len(targets) > 1:  # gate qubit order -> ascending axis order
+            order = sorted(range(len(targets)), key=targets.__getitem__)
+            phases = phases.transpose(order)
+            targets = tuple(targets[i] for i in order)
+        return _GateOp(_DIAGONAL, targets, controls, phases)
+    return _GateOp(_DENSE, targets, controls, gate.matrix())
+
+
+def _apply_op(
+    tensor: np.ndarray, op: _GateOp, num_qubits: int, first: int = 0, conj: bool = False
+) -> np.ndarray:
+    """Apply ``op`` to the register whose ``num_qubits`` axes start at ``first``.
+
+    ``tensor`` must be private to the caller: diagonal and controlled ops
+    write it in place.  ``conj`` applies the complex-conjugate gate, as a
+    density matrix's column axes need.  Returns the resulting tensor.
+    """
+    kind, targets, controls, data = op
+    if kind == _GATHER:
+        shape = tensor.shape
+        if tensor.ndim == num_qubits:  # one register, no batch axes
+            return tensor.reshape(-1)[data].reshape(shape)
+        flat = tensor.reshape(1 << first, 1 << num_qubits, -1)
+        return flat.take(data, axis=1).reshape(shape)
+    if conj:
+        data = data.conj()
+    axes = [first + q for q in targets]
+    view = tensor
+    if controls:
+        index = [slice(None)] * (first + num_qubits)
+        for q, bit in controls:
+            index[first + q] = bit
+        view = tensor[tuple(index)]
+        # Integer-indexed control axes drop out of the view.
+        axes = [a - sum(first + q < a for q, _ in controls) for a in axes]
+    if kind == _DIAGONAL:
+        shape = [1] * view.ndim
+        for axis in axes:
+            shape[axis] = 2
+        view *= data.reshape(shape).astype(view.dtype, copy=False)
+        return tensor
+    result = apply_matrix(view, data, axes)
+    if not controls:
+        return result
+    view[...] = result
+    return tensor
+
+
+def _evolve_tensor(tensor: np.ndarray, circuit: QuantumCircuit, num_qubits: int) -> np.ndarray:
+    """Run ``circuit`` on a private state tensor (register at axis 0)."""
+    for instr in circuit:
+        tensor = _apply_op(tensor, _lower_gate(instr.gate, instr.qubits, num_qubits), num_qubits)
+    return tensor
 
 
 def sample_outcome_counts(
@@ -136,10 +321,9 @@ class Statevector:
             raise SimulationError(
                 f"circuit acts on {circuit.num_qubits} qubits, state has {self.num_qubits}"
             )
-        tensor = self._vec.reshape((2,) * self.num_qubits if self.num_qubits else (1,))
-        for instr in circuit:
-            tensor = apply_matrix(tensor, instr.gate.matrix(), instr.qubits)
-        vec = tensor.reshape(-1)
+        n = self.num_qubits
+        tensor = self._vec.reshape((2,) * n if n else (1,)).copy()
+        vec = _evolve_tensor(tensor, circuit, n).reshape(-1)
         if circuit.global_phase:
             vec = vec * np.exp(1j * circuit.global_phase)
         return Statevector(vec)
@@ -185,8 +369,8 @@ def evolve_statevectors(circuit: QuantumCircuit, states: np.ndarray) -> np.ndarr
 
     ``states`` has shape ``(2^n, batch)`` — one state per column.  The batch
     rides the trailing axis of the state tensor, so every gate is applied to
-    all columns with the same single :func:`apply_matrix` contraction a lone
-    state would use; this is how
+    all columns by the same structured kernel a lone state would use; this
+    is how
     :func:`~repro.analysis.trotter_error.trotter_error_state` replaces its
     per-state Python loop of full circuit replays.
     """
@@ -198,10 +382,8 @@ def evolve_statevectors(circuit: QuantumCircuit, states: np.ndarray) -> np.ndarr
         raise SimulationError(
             f"states of dimension {dim} do not fit a {circuit.num_qubits}-qubit circuit"
         )
-    tensor = states.reshape((2,) * circuit.num_qubits + (batch,))
-    for instr in circuit:
-        tensor = apply_matrix(tensor, instr.gate.matrix(), instr.qubits)
-    out = tensor.reshape(dim, batch)
+    tensor = states.reshape((2,) * circuit.num_qubits + (batch,)).copy()
+    out = _evolve_tensor(tensor, circuit, circuit.num_qubits).reshape(dim, batch)
     if circuit.global_phase:
         out = out * np.exp(1j * circuit.global_phase)
     return out

@@ -6,7 +6,9 @@ circuits, plus the scaling/oracle pair added with the gate-fusion fast path:
 
 ========================  ====================================================
 ``"statevector"``         evolve an initial state through the (fused)
-                          execution circuit with dense tensordot kernels
+                          execution circuit, each gate by its structure:
+                          a gather, a diagonal multiply, a control-slice
+                          update, or one dense tensordot
 ``"kernel"``              matrix-free Trotter evolution through the cached
                           mask plan (:mod:`repro.circuits.pauli_kernels`) —
                           no circuit executed; falls back to ``statevector``

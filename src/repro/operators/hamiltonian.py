@@ -94,6 +94,15 @@ _PARSED: "dict[bytes, tuple[int, tuple[SCBTerm, ...], _CanonicalForm]]" = {}
 _PARSED_CAP = 64
 _PARSED_LOCK = threading.Lock()
 
+#: Pauli expansions, keyed on ``(sequence_key(), include_hc)``: order-
+#: sensitive, because string order is the ``pauli`` Trotter product's order,
+#: and invalidated by ``add_term`` through the sequence key.  A bounded LRU
+#: like :data:`_PARSED`, shared by every thread under one lock; callers only
+#: ever get copies, so mutating a result cannot reach the stored operator.
+_PAULI: "dict[tuple, PauliOperator]" = {}
+_PAULI_CAP = 64
+_PAULI_LOCK = threading.Lock()
+
 
 class Hamiltonian:
     """A sum of SCB terms, the native problem description of the direct strategy."""
@@ -345,11 +354,28 @@ class Hamiltonian:
         return result if sparse else np.asarray(result.todense())
 
     def to_pauli(self, include_hc: bool = True) -> PauliOperator:
-        """Pauli-string expansion of the full Hamiltonian (the usual strategy)."""
-        out = PauliOperator()
-        for fragment in self.hermitian_fragments(auto_hc=include_hc):
-            out = out + fragment.to_pauli()
-        return out.simplify()
+        """Pauli-string expansion of the full Hamiltonian (the usual strategy).
+
+        Expanded once per as-written term sequence and process (see
+        :data:`_PAULI`); every call returns a fresh operator the caller may
+        modify.
+        """
+        key = (self.sequence_key(), include_hc)
+        with _PAULI_LOCK:
+            expansion = _PAULI.pop(key, None)
+            if expansion is not None:
+                _PAULI[key] = expansion  # re-insertion moves the hit to the back
+        if expansion is None:
+            expansion = PauliOperator()
+            for fragment in self.hermitian_fragments(auto_hc=include_hc):
+                for string, coeff in fragment.to_pauli().items():
+                    expansion._add(string, coeff)
+            expansion = expansion.simplify()
+            with _PAULI_LOCK:
+                while len(_PAULI) >= _PAULI_CAP:
+                    _PAULI.pop(next(iter(_PAULI)))
+                _PAULI[key] = expansion
+        return expansion.copy()
 
     # ------------------------------------------------------------------ physics
 

@@ -166,7 +166,10 @@ class PauliOperator:
         return self._terms.get(string, 0.0)
 
     def copy(self) -> "PauliOperator":
-        return PauliOperator(dict(self._terms))
+        # The terms are validated and merged already: copy the dict as is.
+        out = PauliOperator()
+        out._terms = dict(self._terms)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         parts = [f"{coeff:+.4g}·{string}" for string, coeff in list(self._terms.items())[:6]]

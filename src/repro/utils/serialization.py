@@ -29,10 +29,12 @@ from repro.exceptions import ReproError
 #: the way content keys are composed changes (3: problem, run, sweep and
 #: plan-group keys hash the Hamiltonian's digest and the problem's key
 #: instead of the nested payloads), or when the value computed for an
-#: unchanged key changes (numerics that move results, even by rounding) —
-#: every content key (and with it every cache entry) is versioned by this
-#: tag, so old results are never served beside new ones.
-SPEC_VERSION = 3
+#: unchanged key changes (numerics that move results, even by rounding; 4:
+#: circuits run by gate structure, so diagonal gates multiply elementwise
+#: where a BLAS contraction rounded before) — every content key (and with it
+#: every cache entry) is versioned by this tag, so old results are never
+#: served beside new ones.
+SPEC_VERSION = 4
 
 
 class SerializationError(ReproError):

@@ -115,3 +115,20 @@ class TestQAOACircuit:
     def test_mismatched_parameter_lengths(self):
         with pytest.raises(ProblemError):
             qaoa_circuit(random_hubo(3, 3, 2, rng=1), [0.1], [0.2, 0.3])
+
+
+class TestLogicalGateCounts:
+    """Structured execution never changes the logical circuits it runs."""
+
+    def test_reference_hubo_two_qubit_counts_are_pinned(self):
+        # The 10-variable, 48-monomial, order-6 problem of the layered
+        # benchmark's HUBO workload, at one Trotter step.
+        import repro
+
+        problem = random_hubo(10, 48, 6, rng=2025).to_simulation_problem(0.5, name="hubo")
+        direct = repro.compile(problem, strategy="direct").circuit
+        pauli = repro.compile(problem, strategy="pauli").circuit
+        assert direct.num_two_qubit_gates() == 6
+        assert pauli.num_two_qubit_gates() == 2344
+        assert pauli.count_ops() == {"cx": 2344, "rz": 434}
+        assert direct.size() == 48

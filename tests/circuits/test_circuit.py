@@ -1,10 +1,22 @@
 """Unit tests for the QuantumCircuit container."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit, Statevector, circuit_unitary, circuits_equivalent
 from repro.exceptions import CircuitError
+
+
+def _src_path() -> str:
+    import repro
+
+    return os.path.dirname(os.path.dirname(repro.__file__))
 
 
 class TestConstruction:
@@ -62,6 +74,67 @@ class TestCompose:
         b = QuantumCircuit(2)
         with pytest.raises(CircuitError):
             a.compose(b, qubits=[0])
+
+    def test_compose_without_a_map_shares_the_validated_instructions(self):
+        a, b = QuantumCircuit(3), QuantumCircuit(2)
+        b.h(0).cx(0, 1)
+        a.compose(b)
+        assert a.instructions == b.instructions
+        assert all(x is y for x, y in zip(a.instructions, b.instructions))
+
+    @pytest.mark.parametrize(
+        "call, qubits, phase",
+        [
+            ("qc.compose(qc)", [[0], [0, 1], [2], [0], [0, 1], [2]], 0.5),
+            ("qc.compose(qc, qubits=[1, 2, 0])", [[0], [0, 1], [2], [1], [1, 2], [0]], 0.5),
+            ("qc.extend(qc)", [[0], [0, 1], [2], [0], [0, 1], [2]], 0.25),
+        ],
+    )
+    def test_composing_a_circuit_into_itself_appends_one_copy(self, call, qubits, phase):
+        # These once appended to the list they were iterating and never
+        # returned.  The call runs in a child process whose watchdog exits
+        # as soon as the circuit outgrows any sane result, so a regression
+        # fails fast instead of hanging and eating memory.
+        script = textwrap.dedent(
+            f"""
+            import json, os, threading, time
+            from repro.circuits import QuantumCircuit, circuit_unitary
+
+            qc = QuantumCircuit(3)
+            qc.h(0).cx(0, 1).rz(0.3, 2)
+            qc.global_phase = 0.25
+            before = circuit_unitary(qc)
+
+            def watchdog():
+                while len(qc._instructions) < 100:
+                    time.sleep(0.001)
+                os._exit(3)
+
+            threading.Thread(target=watchdog, daemon=True).start()
+            {call}
+            print(json.dumps({{
+                "names": [i.name for i in qc],
+                "qubits": [i.qubits for i in qc],
+                "phase": qc.global_phase,
+                "squared": bool(abs(circuit_unitary(qc) - before @ before).max() < 1e-12),
+            }}))
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": _src_path()}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                timeout=30, env=env,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"{call} did not return within 30 s")
+        assert done.returncode == 0, f"{call} kept appending: {done.stderr}"
+        result = json.loads(done.stdout)
+        assert result["names"] == ["h", "cx", "rz"] * 2
+        assert result["qubits"] == qubits
+        assert result["phase"] == pytest.approx(phase)
+        if call == "qc.compose(qc)":
+            assert result["squared"]
 
     def test_compose_accumulates_global_phase(self):
         a = QuantumCircuit(1)

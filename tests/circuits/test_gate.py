@@ -53,6 +53,35 @@ class TestStandardGate:
         assert StandardGate("rz", (0.5,)) == StandardGate("rz", (0.5,))
         assert hash(StandardGate("x")) == hash(StandardGate("x"))
 
+    def test_hash_agrees_with_tolerant_equality(self):
+        # Equality compares parameters with np.allclose, so gates it calls
+        # equal must hash equal, or sets and dicts disagree with ==.
+        a, b = StandardGate("rz", (0.1,)), StandardGate("rz", (0.1 + 1e-12,))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert b in {a}
+        assert {a: "rz"}[b] == "rz"
+
+    def test_validation_raises_the_registry_errors(self):
+        with pytest.raises(GateError, match="unknown standard gate 'nope'"):
+            StandardGate("nope")
+        with pytest.raises(GateError, match=r"gate 'rz' expects 1 parameter\(s\), got 0"):
+            StandardGate("rz")
+        with pytest.raises(GateError, match=r"gate 'x' expects 0 parameter\(s\), got 1"):
+            StandardGate("x", (0.3,))
+        with pytest.raises(GateError, match=r"gate 'u' expects 3 parameter\(s\), got 2"):
+            StandardGate("u", (0.1, 0.2))
+
+    def test_construction_builds_no_matrix(self, monkeypatch):
+        import repro.circuits.gate as gate_module
+
+        def fail(*args):
+            raise AssertionError("StandardGate() built a matrix")
+
+        monkeypatch.setattr(gate_module, "standard_gate_matrix", fail)
+        gate = StandardGate("rz", (0.4,))
+        assert gate.num_qubits == 1 and gate.inverse().params == (-0.4,)
+
 
 class TestUnitaryGate:
     def test_rejects_non_unitary(self):
