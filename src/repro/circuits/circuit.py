@@ -112,11 +112,17 @@ class QuantumCircuit:
         return self
 
     def inverse(self) -> "QuantumCircuit":
-        """Return a new circuit implementing the inverse unitary."""
+        """Return a new circuit implementing the inverse unitary.
+
+        The qubits were validated when each instruction was appended, so the
+        inverted instructions are built from them directly.
+        """
         out = QuantumCircuit(self.num_qubits, f"{self.name}_dg")
         out.global_phase = -self.global_phase
-        for instr in reversed(self._instructions):
-            out.append(instr.gate.inverse(), instr.qubits)
+        out._instructions = [
+            Instruction(instr.gate.inverse(), instr.qubits)
+            for instr in reversed(self._instructions)
+        ]
         return out
 
     def power(self, repetitions: int) -> "QuantumCircuit":

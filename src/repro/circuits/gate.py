@@ -59,6 +59,16 @@ class Gate:
         return f"{type(self).__name__}({self.name}, qubits={self.num_qubits})"
 
 
+#: Parameterless gates whose inverse is another named gate.
+_INVERSE_PAIRS = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
+
+#: Parameterless gates that are their own inverse.
+_SELF_INVERSE = frozenset(
+    {"id", "x", "y", "z", "h", "cx", "cy", "cz", "ch", "swap", "ccx", "ccz",
+     "cswap", "fswap"}
+)
+
+
 class StandardGate(Gate):
     """A named gate from the standard registry."""
 
@@ -84,11 +94,9 @@ class StandardGate(Gate):
         return standard_gate_matrix(self.name, self.params)
 
     def inverse(self) -> "Gate":
-        inverse_pairs = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
-        if self.name in inverse_pairs:
-            return StandardGate(inverse_pairs[self.name], ())
-        if self.name in {"id", "x", "y", "z", "h", "cx", "cy", "cz", "ch", "swap",
-                         "ccx", "ccz", "cswap", "fswap"}:
+        if self.name in _INVERSE_PAIRS:
+            return StandardGate(_INVERSE_PAIRS[self.name], ())
+        if self.name in _SELF_INVERSE:
             return StandardGate(self.name, ())
         if self.name == "u":
             theta, phi, lam = self.params

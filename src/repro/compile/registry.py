@@ -19,6 +19,9 @@ class Registry:
     def __init__(self, kind: str):
         self.kind = kind
         self._factories: dict[str, Callable] = {}
+        #: Bumped by every :meth:`register` and :meth:`unregister`, so a warm
+        #: process pool can tell whether its workers' copy is still current.
+        self.version = 0
 
     def register(self, name: str, factory: Callable | None = None):
         """Register a factory under ``name`` (usable as a decorator)."""
@@ -26,12 +29,14 @@ class Registry:
 
         def _store(fn: Callable) -> Callable:
             self._factories[key] = fn
+            self.version += 1
             return fn
 
         return _store if factory is None else _store(factory)
 
     def unregister(self, name: str) -> None:
         self._factories.pop(name.lower(), None)
+        self.version += 1
 
     def create(self, name: str, /, *args, **kwargs):
         """Instantiate the factory registered under ``name``."""

@@ -171,8 +171,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             axes["seed"] = args.seed
         spec = SweepSpec(problem=_load_problem(payload), **axes)
 
-    session = _make_session(args, workers=args.workers)
-    results = session.sweep(spec)
+    with _make_session(args, workers=args.workers) as session:
+        results = session.sweep(spec)
     if args.json:
         # Structured output for scripts: the full ResultSet document on
         # stdout, nothing else.  The exit code still reflects failures.

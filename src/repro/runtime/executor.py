@@ -5,8 +5,9 @@ it runs canonical :class:`~repro.runtime.spec.RunSpec` dicts and returns one
 outcome dict per payload, in payload order.  :class:`SerialExecutor` runs
 each payload in-process through :func:`execute_spec` (the bit-exactness
 oracle); :class:`ProcessExecutor` plan-batches the payloads and shards them
-across a ``concurrent.futures`` process pool.  Both report progress through
-an optional ``progress(done, total)`` callback as results land.
+across one warm ``concurrent.futures`` process pool that it keeps between
+calls.  Both report progress through an optional ``progress(done, total)``
+callback as results land.
 
 The worker entry point :func:`execute_spec` is deliberately *total*: a grid
 point that raises records its exception (type, message, full traceback) in
@@ -18,11 +19,13 @@ pool never depends on pickling library objects across versions.
 from __future__ import annotations
 
 import logging
+import marshal
 import math
 import os
 import threading
 import time
 import traceback
+import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import replace
 from typing import Any, Protocol, runtime_checkable
@@ -207,23 +210,51 @@ def batch_key(payload: dict) -> "str | None":
     )
 
 
+def _batch_identity(payload: dict) -> "bytes | None":
+    """The exact bytes of what :func:`batch_key` reads, minus the batch axis.
+
+    Two payloads with equal identities have equal batch keys, so a run of
+    seeded repeats parses and hashes its problem once.  ``marshal`` tells
+    ``1`` from ``1.0`` and ``True`` (equal as dicts, different in a key).
+    ``None`` when there is nothing to save (no batch axis) or the payload
+    holds a value marshal cannot write: its key is then computed afresh.
+    """
+    try:
+        backend = payload.get("backend", "statevector")
+        axis = BATCH_AXES.get(backend)
+        if axis is None:
+            return None
+        shared = {k: v for k, v in payload.get("run_kwargs", {}).items() if k != axis}
+        return marshal.dumps(
+            (backend, payload.get("strategy", "direct"), payload["problem"], shared), 2
+        )
+    except (AttributeError, LookupError, TypeError, ValueError):
+        return None
+
+
 def group_payloads(payloads: "Sequence[dict]") -> list[list[int]]:
     """Index groups of *consecutive* payloads sharing a batch key.
 
     Order-preserving by construction (a sweep expands its repeats/seed axis
     innermost, so batchable points are adjacent); unbatchable payloads come
     back as singleton groups.  Concatenating the groups restores the input
-    order exactly.
+    order exactly.  A payload equal to its predecessor outside the batch
+    axis reuses the predecessor's key instead of parsing its problem again.
     """
     groups: list[list[int]] = []
     previous: "str | None" = None
+    previous_identity: "bytes | None" = None
     for index, payload in enumerate(payloads):
-        key = batch_key(payload)
+        identity = _batch_identity(payload)
+        if identity is None or identity != previous_identity:
+            key = batch_key(payload)
+        else:
+            key = previous
         if key is not None and key == previous and groups:
             groups[-1].append(index)
         else:
             groups.append([index])
-        previous = key
+        previous, previous_identity = key, identity
     return groups
 
 
@@ -330,27 +361,32 @@ def execute_spec_batch(payloads: "Sequence[dict]") -> list[dict]:
         return [execute_spec(payload) for payload in payloads]
 
 
-def _run_spec_chunk(
-    groups: list[list[dict]], trace=None, progress_queue=None
-) -> list[list[dict]]:
+#: The progress channel of the pool this process works for: set by
+#: :func:`_worker_init` in every pool worker, ``None`` everywhere else.
+_WORKER_CHANNEL = None
+
+
+def _run_spec_chunk(groups: list[list[dict]], trace=None) -> list[list[dict]]:
     """Execute batch-key groups inside a worker.
 
     The worker-side counterpart of :meth:`ProcessExecutor.map_specs`: each
     group runs through :func:`execute_spec_batch`, and the outcomes travel
     back through the pool's result pipe.  ``trace`` is the parent's span
-    context (worker spans attach to the submitting trace);
-    ``progress_queue`` receives one count per completed group so the parent
-    can report per-point progress mid-chunk.
+    context (worker spans attach to the submitting trace).  After each group
+    the worker puts its point count on the pool's progress channel, so the
+    parent can report per-point progress mid-chunk and its watchdog sees
+    activity.
     """
+    channel = _WORKER_CHANNEL
     results: list[list[dict]] = []
     with trace_context(trace):
         for group in groups:
             results.append(execute_spec_batch(group))
-            if progress_queue is not None:
+            if channel is not None:
                 try:
-                    progress_queue.put_nowait(len(group))
+                    channel.put(len(group))
                 except Exception:  # noqa: BLE001 - progress must never kill work
-                    progress_queue = None
+                    channel = None
     return results
 
 
@@ -422,20 +458,114 @@ def pin_blas_threads(n: int = 1) -> None:
                     pass
 
 
-def _worker_init(blas_threads: int) -> None:
-    """Process-pool initializer: BLAS pinning and a fresh fault plan.
+def _worker_init(blas_threads: int, channel=None) -> None:
+    """Process-pool initializer: BLAS pinning, a fresh fault plan, the channel.
 
-    Runs once per worker before any task: caps BLAS/OpenMP threading so
+    Runs once per worker when its pool starts, not once per call: a warm
+    pool's workers keep what they set up here for every later
+    :meth:`ProcessExecutor.map_specs`.  It caps BLAS/OpenMP threading so
     ``n_workers`` processes do not fan out ``n_workers × N`` BLAS threads
     over the same cores.  Fault-plan state is reset so a forked worker
-    re-reads ``REPRO_FAULTS`` with fresh trigger counters instead of
-    inheriting the parent's mid-count plan.
+    re-reads ``REPRO_FAULTS`` (as it was when the pool started) with fresh
+    trigger counters instead of inheriting the parent's mid-count plan.
+    ``REPRO_PROFILE`` arms the profiler the same way.  ``channel`` is the
+    pool's progress queue, which :func:`_run_spec_chunk` reports into.
     """
     from repro.telemetry.profiler import maybe_start_profiler
 
+    global _WORKER_CHANNEL
+    _WORKER_CHANNEL = channel
     _reset_fault_state()
     pin_blas_threads(blas_threads)
     maybe_start_profiler()  # REPRO_PROFILE-armed; one dict lookup when off
+
+
+def _inherited_state() -> tuple:
+    """What pool workers copy from the parent when their pool starts.
+
+    The strategy and backend registries (by version) and the ``REPRO_*``
+    environment: fault plan, tracing, profiler and logging settings.  A warm
+    pool is reused only while this is unchanged since it started.
+    """
+    from repro.compile.backends import BACKENDS
+    from repro.compile.strategies import STRATEGIES
+
+    env = sorted(item for item in os.environ.items() if item[0].startswith("REPRO_"))
+    return STRATEGIES.version, BACKENDS.version, tuple(env)
+
+
+class _WarmPool:
+    """One ``ProcessPoolExecutor`` and the progress channel its workers inherit.
+
+    A :class:`ProcessExecutor` owns one.  Its finalizer holds this object,
+    never the executor, so dropping the executor shuts the pool down.
+    """
+
+    def __init__(self):
+        self.pool = None
+        self.channel = None
+        self.stamp = None
+
+    def start(self, n_workers: int, mp_context: "str | None", blas_threads: int):
+        """Create the channel and the pool; the first submit starts the workers."""
+        import concurrent.futures
+        import multiprocessing
+
+        context = multiprocessing.get_context(mp_context)
+        self.stamp = _inherited_state()
+        self.channel = context.SimpleQueue()
+        self.pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=n_workers,
+            mp_context=context,
+            initializer=_worker_init,
+            initargs=(blas_threads, self.channel),
+        )
+
+    def dead_worker(self) -> bool:
+        """Whether the pool broke or lost a worker since its last call."""
+        if self.pool._broken:
+            return True
+        workers = list((self.pool._processes or {}).values())
+        return not all(process.is_alive() for process in workers)
+
+    def close(self) -> None:
+        """Shut the pool down, joining its manager thread and its workers."""
+        pool, channel = self.pool, self.channel
+        self.pool = self.channel = self.stamp = None
+        if pool is not None:
+            pool.shutdown(wait=True)
+        if channel is not None:
+            channel.close()
+
+    def kill(self) -> None:
+        """Hard-stop a pool whose workers cannot be trusted to exit.
+
+        ``shutdown`` alone joins worker processes, and a hung worker would
+        hang it too.  Snapshot the workers and the manager thread first
+        (private but stable across CPython 3.9–3.13), cancel everything
+        queued, SIGKILL and reap each worker, then join the manager thread,
+        which exits once it sees its workers gone.
+        """
+        pool, channel = self.pool, self.channel
+        self.pool = self.channel = self.stamp = None
+        if pool is None:
+            return
+        handles = list((pool._processes or {}).values())
+        manager = pool._executor_manager_thread
+        pool.shutdown(wait=False, cancel_futures=True)
+        for process in handles:
+            try:
+                process.kill()
+            except Exception:  # noqa: BLE001 - already dead
+                pass
+        for process in handles:
+            try:
+                process.join(timeout=5.0)
+            except Exception:  # noqa: BLE001 - already reaped
+                pass
+        if manager is not None:
+            manager.join(timeout=5.0)
+        channel.close()
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +615,28 @@ class SerialExecutor:
 
 
 class ProcessExecutor:
-    """Chunked fan-out over a ``concurrent.futures`` process pool.
+    """Chunked fan-out over one warm ``concurrent.futures`` process pool.
 
-    Every pool worker starts through an initializer that pins BLAS/OpenMP
-    threading to ``blas_threads_per_worker`` (default 1), so a CPU-count
-    pool no longer oversubscribes the box with ``n_workers × N`` BLAS
-    threads.  :meth:`map_specs` plan-batches the payloads, and outcomes come
-    back through the pool's result pipe.
+    The executor owns one pool of ``n_workers`` processes.  The first
+    :meth:`map_specs` call that fans out starts it, and every later call
+    reuses it, so the workers' memos (compiled programs, lowerings, parsed
+    Hamiltonians) stay warm across sweeps.  The pool lives until
+    :meth:`close`, the end of a ``with`` block, garbage collection of the
+    executor or interpreter exit, whichever comes first; each of them joins
+    the workers.
+
+    Workers start from the parent as it is when the pool starts: forked
+    workers copy its memory, spawned ones import afresh.  A pool is
+    therefore rebuilt before a call when the strategy or backend registry or
+    the ``REPRO_*`` environment changed since it started, and when a worker
+    died while the pool sat idle.  Every worker starts through an
+    initializer that pins BLAS/OpenMP threading to
+    ``blas_threads_per_worker`` (default 1), so a CPU-count pool does not
+    oversubscribe the box with ``n_workers × N`` BLAS threads.  Progress
+    counts travel over one channel created with the pool, so a call on a
+    warm executor starts no process at all.  Calls from several threads run
+    one at a time; in-process calls (one worker, or one payload) take no
+    lock.
 
     Parameters
     ----------
@@ -519,7 +664,8 @@ class ProcessExecutor:
         How many fresh pools a single :meth:`map_specs` call may build
         after stalls/crashes (default 1).  Once exhausted, still-missing
         points come back as captured ``TimeoutError`` outcomes instead of
-        stalling the sweep.
+        stalling the sweep.  Replacing a pool that lost a worker while idle
+        does not count.
     """
 
     name = "process"
@@ -554,52 +700,47 @@ class ProcessExecutor:
         self.blas_threads_per_worker = int(blas_threads_per_worker)
         self.point_timeout = None if point_timeout is None else float(point_timeout)
         self.max_restarts = int(max_restarts)
+        self._lock = threading.Lock()
+        self._warm = _WarmPool()
+        # Runs at garbage collection or interpreter exit, whichever is first.
+        weakref.finalize(self, self._warm.close)
 
     def _resolve_chunk(self, n_items: int) -> int:
         if self.chunk_size is not None:
             return self.chunk_size
         return max(1, math.ceil(n_items / (4 * self.n_workers)))
 
-    # ------------------------------------------------------ progress plumbing
+    # --------------------------------------------------------------- lifetime
 
-    def _progress_channel(self, progress, total: int, *, force: bool = False):
-        """A managed queue workers feed per-point counts into, plus its drain.
+    def close(self) -> None:
+        """Shut the pool down and join its workers; idempotent.
 
-        Returns ``(manager, queue, drain)``; all three are inert when no
-        progress callback was supplied (unless ``force`` — the hung-point
-        watchdog needs the activity signal even unmonitored), so plain
-        sweeps skip the Manager process entirely.  ``drain()`` returns how
-        many fresh counts it swallowed; ``drain(final=True)`` reports the
-        terminal ``progress(total, total)`` in case trailing counts were
-        lost with a dying worker.
+        A later :meth:`map_specs` that fans out starts a fresh pool.
         """
-        if progress is None and not force:
-            return None, None, (lambda final=False: 0)
-        import multiprocessing
+        with self._lock:
+            self._warm.close()
 
-        manager = multiprocessing.Manager()
-        queue = manager.Queue()
-        done = 0
+    def __enter__(self) -> "ProcessExecutor":
+        return self
 
-        def drain(final: bool = False) -> int:
-            nonlocal done
-            counted = 0
-            while True:
-                try:
-                    counted += queue.get_nowait()
-                except Exception:  # noqa: BLE001 - Empty, or a dead manager
-                    break
-            if counted:
-                done = min(total, done + counted)
-                if progress is not None:
-                    progress(done, total)
-            if final and done < total:
-                done = total
-                if progress is not None:
-                    progress(total, total)
-            return counted
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
-        return manager, queue, drain
+    def _ready_pool(self) -> None:
+        """Make the warm pool fit for the next pass, replacing it if it is not.
+
+        A pool whose workers copied an older registry or ``REPRO_*``
+        environment is closed; one that broke or lost a worker is killed.
+        Either way the old pool is gone before the new one forks.
+        """
+        warm = self._warm
+        if warm.pool is not None:
+            if warm.dead_worker():
+                warm.kill()
+            elif warm.stamp != _inherited_state():
+                warm.close()
+        if warm.pool is None:
+            warm.start(self.n_workers, self.mp_context, self.blas_threads_per_worker)
 
     # ---------------------------------------------------------------- fan-out
 
@@ -635,7 +776,9 @@ class ProcessExecutor:
         the groups are fanned out in group-preserving chunks, and workers run
         :func:`execute_spec_batch` and return their outcomes through the
         pool's result pipe.  Outcomes come back in payload order with the
-        exact per-point contract of :func:`execute_spec`.
+        exact per-point contract of :func:`execute_spec`.  A lone payload
+        runs in-process without grouping, and so does every call on a
+        one-worker executor.
 
         With ``point_timeout`` set, a watchdog tracks per-group completions:
         a pool that stops making progress (hung point) or loses a worker to
@@ -643,13 +786,20 @@ class ProcessExecutor:
         are re-queued onto a fresh pool, up to ``max_restarts`` times —
         after which the stragglers come back as captured ``TimeoutError``
         outcomes, never a stalled sweep.  Recovery is safe because payloads
-        are content-addressed and side-effect-free in the worker.
+        are content-addressed and side-effect-free in the worker.  A call
+        that raises (a progress callback that fails, an interrupt) kills the
+        pool too, so nothing it left running leaks into the next call.
         """
         payloads = list(payloads)
         if not payloads:
             return []
+        if len(payloads) == 1:
+            results = execute_spec_batch(payloads)
+            if progress is not None:
+                progress(1, 1)
+            return results
         groups = group_payloads(payloads)
-        if self.n_workers == 1 or len(payloads) == 1:
+        if self.n_workers == 1:
             # In-process: same batched semantics, no transport needed.  The
             # groups are consecutive, so their outcomes concatenate in order.
             results: list = []
@@ -658,90 +808,97 @@ class ProcessExecutor:
                 if progress is not None:
                     progress(len(results), len(payloads))
             return results
+        with self._lock:
+            try:
+                return self._fan_out(payloads, groups, progress)
+            except BaseException:
+                self._warm.kill()
+                raise
 
-        import multiprocessing
-
+    def _fan_out(self, payloads, groups, progress) -> list[dict]:
+        """Every pass of one :meth:`map_specs` call; runs under the lock."""
         chunks = self._chunk_groups(groups, len(payloads))
-        context = (
-            multiprocessing.get_context(self.mp_context)
-            if self.mp_context is not None
-            else None
-        )
         results: list = [None] * len(payloads)
-        manager, progress_queue, drain = self._progress_channel(
-            progress, len(payloads), force=self.point_timeout is not None
-        )
-        try:
-            with span(
-                "pool.map_specs", points=len(payloads), workers=self.n_workers
-            ):
-                trace = current_trace_context()
-                restarts = 0
-                while True:
-                    self._pool_pass(
-                        chunks, payloads, results, trace,
-                        progress_queue, drain, context,
+        total = len(payloads)
+        done = 0
+
+        def drain(channel) -> int:
+            """Swallow the counts on ``channel``; report them; return how many."""
+            nonlocal done
+            counted = 0
+            while not channel.empty():
+                counted += channel.get()
+            if counted:
+                done = min(total, done + counted)
+                if progress is not None:
+                    progress(done, total)
+            return counted
+
+        with span("pool.map_specs", points=total, workers=self.n_workers):
+            trace = current_trace_context()
+            restarts = 0
+            while True:
+                self._ready_pool()
+                self._pool_pass(chunks, payloads, results, trace, drain)
+                leftovers = [
+                    group
+                    for chunk in chunks
+                    for group in chunk
+                    if results[group[0]] is None
+                ]
+                if not leftovers:
+                    break
+                missing = sum(len(group) for group in leftovers)
+                restarts += 1
+                if restarts > self.max_restarts:
+                    window = (self.point_timeout or 0.0) * max(
+                        len(group) for group in leftovers
                     )
-                    leftovers = [
-                        group
-                        for chunk in chunks
-                        for group in chunk
-                        if results[group[0]] is None
-                    ]
-                    if not leftovers:
-                        break
-                    missing = sum(len(group) for group in leftovers)
-                    restarts += 1
-                    if restarts > self.max_restarts:
-                        window = (self.point_timeout or 0.0) * max(
-                            len(group) for group in leftovers
-                        )
-                        error = {
-                            "type": "TimeoutError",
-                            "message": (
-                                f"point made no progress within "
-                                f"{window:.3g}s across "
-                                f"{self.max_restarts + 1} pool pass(es)"
-                            ),
-                            "traceback": "",
-                        }
-                        for group in leftovers:
-                            for index in group:
-                                results[index] = {
-                                    "ok": False,
-                                    "error": dict(error),
-                                    "wall_time": window,
-                                }
-                        metrics.incr("resilience.timeouts", missing)
-                        logger.error(
-                            "giving up on %d point(s) after %d pool "
-                            "restart(s); recorded as TimeoutError",
-                            missing, self.max_restarts,
-                        )
-                        break
-                    metrics.incr("resilience.retries")
-                    logger.warning(
-                        "pool stalled or lost a worker; re-queueing %d "
-                        "point(s) onto a fresh pool (restart %d/%d)",
-                        missing, restarts, self.max_restarts,
+                    error = {
+                        "type": "TimeoutError",
+                        "message": (
+                            f"point made no progress within "
+                            f"{window:.3g}s across "
+                            f"{self.max_restarts + 1} pool pass(es)"
+                        ),
+                        "traceback": "",
+                    }
+                    for group in leftovers:
+                        for index in group:
+                            results[index] = {
+                                "ok": False,
+                                "error": dict(error),
+                                "wall_time": window,
+                            }
+                    metrics.incr("resilience.timeouts", missing)
+                    logger.error(
+                        "giving up on %d point(s) after %d pool "
+                        "restart(s); recorded as TimeoutError",
+                        missing, self.max_restarts,
                     )
-                    chunks = self._chunk_groups(leftovers, missing)
-                drain(final=True)
-        finally:
-            if manager is not None:
-                manager.shutdown()
+                    break
+                metrics.incr("resilience.retries")
+                logger.warning(
+                    "pool stalled or lost a worker; re-queueing %d "
+                    "point(s) onto a fresh pool (restart %d/%d)",
+                    missing, restarts, self.max_restarts,
+                )
+                chunks = self._chunk_groups(leftovers, missing)
+            if done < total and progress is not None:
+                # Counts lost with a killed pool: report the terminal total.
+                progress(total, total)
         return results
 
-    def _pool_pass(
-        self, chunks, payloads, results, trace, progress_queue, drain, context,
-    ) -> None:
-        """One process-pool pass over ``chunks``, filling ``results`` in place.
+    def _pool_pass(self, chunks, payloads, results, trace, drain) -> None:
+        """One pass over ``chunks`` on the warm pool, filling ``results`` in place.
 
         Completed chunks land their outcomes; a broken pool (SIGKILLed
         worker) or a watchdog stall abandons the pass, leaving unfinished
-        points ``None`` for the caller to re-queue.  The pool is hard-killed
-        on abandonment — a hung worker would otherwise block shutdown
-        forever.
+        points ``None`` for the caller to re-queue.  An abandoned pool is
+        killed — a hung worker would otherwise block shutdown forever — and
+        the next pass starts a fresh one.  A pass that completes drains every
+        count its workers sent, because each count is written before its
+        chunk's result.
         """
         import concurrent.futures
         from concurrent.futures.process import BrokenProcessPool
@@ -753,86 +910,56 @@ class ProcessExecutor:
             None if self.point_timeout is None
             else self.point_timeout * largest_group
         )
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.n_workers, len(chunks)),
-            mp_context=context,
-            initializer=_worker_init,
-            initargs=(self.blas_threads_per_worker,),
-        )
+        pool, channel = self._warm.pool, self._warm.channel
         abandoned = False
+        futures = {}
         try:
-            futures = {}
-            try:
-                for chunk in chunks:
-                    futures[
-                        pool.submit(
-                            _run_spec_chunk,
-                            [[payloads[i] for i in group] for group in chunk],
-                            trace,
-                            progress_queue,
-                        )
-                    ] = chunk
-            except BrokenProcessPool:
-                abandoned = True
-            pending = set(futures)
-            last_activity = time.monotonic()
-            while pending and not abandoned:
-                finished, pending = concurrent.futures.wait(
-                    pending,
-                    timeout=0.05,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                if drain() or finished:
-                    last_activity = time.monotonic()
-                for future in finished:
-                    chunk = futures[future]
-                    try:
-                        outcome_groups = future.result()
-                    except BrokenProcessPool:
-                        abandoned = True
-                        continue
-                    for group, outcomes in zip(chunk, outcome_groups):
-                        for index, outcome in zip(group, outcomes):
-                            results[index] = outcome
-                if (
-                    not abandoned
-                    and stall_after is not None
-                    and pending
-                    and time.monotonic() - last_activity > stall_after
-                ):
-                    logger.warning(
-                        "no point completed for %.3gs (watchdog window); "
-                        "killing the pool",
-                        stall_after,
+            for chunk in chunks:
+                futures[
+                    pool.submit(
+                        _run_spec_chunk,
+                        [[payloads[i] for i in group] for group in chunk],
+                        trace,
                     )
+                ] = chunk
+        except BrokenProcessPool:
+            abandoned = True
+        pending = set(futures)
+        last_activity = time.monotonic()
+        while pending and not abandoned:
+            finished, pending = concurrent.futures.wait(
+                pending,
+                timeout=0.05,
+                return_when=concurrent.futures.FIRST_COMPLETED,
+            )
+            if drain(channel) or finished:
+                last_activity = time.monotonic()
+            for future in finished:
+                chunk = futures[future]
+                try:
+                    outcome_groups = future.result()
+                except BrokenProcessPool:
                     abandoned = True
-        finally:
-            if abandoned:
-                self._kill_pool(pool)
-            else:
-                pool.shutdown(wait=True)
-
-    @staticmethod
-    def _kill_pool(pool) -> None:
-        """Hard-stop a pool whose workers cannot be trusted to exit.
-
-        ``shutdown`` alone joins worker processes — a hung worker would hang
-        the shutdown too.  Snapshot the worker processes first (private but
-        stable across CPython 3.8–3.13), cancel everything queued, then
-        SIGKILL and reap each worker.
-        """
-        handles = list((getattr(pool, "_processes", None) or {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in handles:
-            try:
-                process.kill()
-            except Exception:  # noqa: BLE001 - already dead
-                pass
-        for process in handles:
-            try:
-                process.join(timeout=5.0)
-            except Exception:  # noqa: BLE001 - already reaped
-                pass
+                    continue
+                for group, outcomes in zip(chunk, outcome_groups):
+                    for index, outcome in zip(group, outcomes):
+                        results[index] = outcome
+            if (
+                not abandoned
+                and stall_after is not None
+                and pending
+                and time.monotonic() - last_activity > stall_after
+            ):
+                logger.warning(
+                    "no point completed for %.3gs (watchdog window); "
+                    "killing the pool",
+                    stall_after,
+                )
+                abandoned = True
+        if abandoned:
+            self._warm.kill()
+        else:
+            drain(channel)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ProcessExecutor(n_workers={self.n_workers})"

@@ -74,6 +74,10 @@ class Session:
     progress:
         ``True`` prints a progress line to stderr; a callable receives
         ``(done, total)`` as results land; ``None``/``False`` is silent.
+
+    A pool the session built from an int is the session's own: its workers
+    stay warm across calls, and :meth:`close` (or leaving a ``with`` block)
+    joins them.  An executor passed in belongs to the caller and stays open.
     """
 
     def __init__(
@@ -94,12 +98,28 @@ class Session:
         else:
             raise SpecError(f"cannot interpret {cache!r} as a result cache")
         self.executor = resolve_executor(executor)
+        self._owns_executor = self.executor is not executor
         if progress is True:
             self._progress: Callable[[int, int], None] | None = _print_progress
         elif progress is False:
             self._progress = None
         else:
             self._progress = progress
+
+    # ---------------------------------------------------------------- lifetime
+
+    def close(self) -> None:
+        """Close the executor if this session built it; idempotent."""
+        if self._owns_executor:
+            close = getattr(self.executor, "close", None)
+            if close is not None:
+                close()
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------- verbs
 

@@ -101,9 +101,12 @@ def configure(
 ) -> None:
     """Programmatic override of ``REPRO_TRACE``/``REPRO_TRACE_DIR``.
 
-    Overrides apply to *this* process (and, under ``fork``, to workers forked
-    afterwards); set the environment variables instead when workers may be
-    spawned fresh.  ``None`` arguments leave the corresponding setting alone.
+    Overrides apply to *this* process (and, under ``fork``, to the workers
+    of process pools started afterwards: a warm pool keeps the setting its
+    workers copied when it started); set the environment variables instead
+    when workers may be spawned fresh or a pool is already running, because
+    a change to ``REPRO_*`` rebuilds the pool.  ``None`` arguments leave the
+    corresponding setting alone.
     """
     global _enabled_override, _dir_override
     if enabled is not None:

@@ -8,8 +8,12 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.circuits import QuantumCircuit, Statevector, circuit_unitary, circuits_equivalent
+from repro.circuits.gate import ControlledGate, StandardGate, UnitaryGate
+from repro.circuits.standard_gates import STANDARD_GATES
 from repro.exceptions import CircuitError
 
 
@@ -145,7 +149,60 @@ class TestCompose:
         assert a.global_phase == pytest.approx(0.5)
 
 
+@st.composite
+def mixed_circuits(draw):
+    """Every standard gate, plain, controlled or as an explicit matrix."""
+    num_qubits = draw(st.integers(1, 4))
+    circuit = QuantumCircuit(num_qubits, "mixed")
+    circuit.global_phase = draw(st.floats(-3.0, 3.0))
+    names = sorted(name for name, spec in STANDARD_GATES.items() if spec[0] <= num_qubits)
+    for _ in range(draw(st.integers(0, 12))):
+        name = draw(st.sampled_from(names))
+        width, num_params, _ = STANDARD_GATES[name]
+        gate = StandardGate(name, [draw(st.floats(-3.0, 3.0)) for _ in range(num_params)])
+        kind = draw(st.sampled_from(("standard", "controlled", "matrix")))
+        if kind == "controlled" and width < num_qubits:
+            gate = ControlledGate(gate, 1, draw(st.integers(0, 1)))
+        elif kind == "matrix":
+            gate = UnitaryGate(gate.matrix())
+        circuit.append(gate, draw(st.permutations(range(num_qubits)))[: gate.num_qubits])
+    return circuit
+
+
 class TestInverseAndPower:
+    def test_inverse_does_not_revalidate_qubits(self, monkeypatch):
+        import repro.circuits.circuit as circuit_module
+
+        qc = QuantumCircuit(3)
+        qc.h(0).cx(0, 1).rz(0.3, 2).t(1)
+
+        def no_check(*args, **kwargs):
+            raise AssertionError("inverse re-validated a qubit list")
+
+        monkeypatch.setattr(circuit_module, "check_qubit_indices", no_check)
+        inverse = qc.inverse()
+        assert [instr.name for instr in inverse] == ["tdg", "rz", "cx", "h"]
+        assert [instr.qubits for instr in inverse] == [(1,), (2,), (0, 1), (0,)]
+
+    @given(mixed_circuits())
+    def test_inverse_equals_the_appended_reference(self, qc):
+        reference = QuantumCircuit(qc.num_qubits, f"{qc.name}_dg")
+        reference.global_phase = -qc.global_phase
+        for instr in reversed(qc.instructions):
+            reference.append(instr.gate.inverse(), instr.qubits)
+        inverse = qc.inverse()
+        assert inverse.name == reference.name
+        assert inverse.global_phase == reference.global_phase
+        assert len(inverse) == len(reference)
+        for got, want in zip(inverse, reference):
+            assert type(got.gate) is type(want.gate)
+            assert (got.name, got.qubits) == (want.name, want.qubits)
+            assert np.array_equal(got.gate.matrix(), want.gate.matrix())
+        product = qc.copy().compose(inverse)
+        np.testing.assert_allclose(
+            circuit_unitary(product), np.eye(1 << qc.num_qubits), atol=1e-9
+        )
+
     def test_inverse_is_inverse(self, rng):
         qc = QuantumCircuit(3)
         qc.h(0)

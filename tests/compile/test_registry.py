@@ -31,6 +31,17 @@ class TestRegistryMechanics:
         registry.unregister("thing")
         assert "thing" not in registry
 
+    def test_register_and_unregister_bump_the_version(self):
+        registry = Registry("widget")
+        versions = [registry.version]
+        registry.register("thing", object)
+        versions.append(registry.version)
+        registry.register("thing", dict)  # a replacement is a change too
+        versions.append(registry.version)
+        registry.unregister("thing")
+        versions.append(registry.version)
+        assert versions == sorted(set(versions))
+
     def test_unknown_name_lists_available(self):
         with pytest.raises(CompileError, match="available:"):
             STRATEGIES.create("nope")

@@ -42,7 +42,7 @@ def test_exhausted_restarts_record_timeout_outcomes(monkeypatch):
     assert metrics.counter("resilience.timeouts") == len(payloads)
 
 
-def _die(groups, trace=None, progress_queue=None):
+def _die(groups, trace=None):
     """Worker body for the SIGKILL test: die before returning anything."""
     os.kill(os.getpid(), signal.SIGKILL)
 

@@ -413,6 +413,72 @@ class TestBatchGrouping:
         assert groups == [[0, 1], [2], [3, 4]]
         assert [i for group in groups for i in group] == list(range(5))
 
+    def test_a_lone_payload_is_not_grouped(self, monkeypatch):
+        from repro.runtime import executor as executor_module
+
+        calls = []
+        real = executor_module.batch_key
+        monkeypatch.setattr(
+            executor_module, "batch_key", lambda p: calls.append(p) or real(p)
+        )
+        [outcome] = ProcessExecutor(2).map_specs([self.kernel_payload(3)])
+        assert outcome["ok"] and calls == []
+
+    def test_repeats_parse_their_problem_once_per_run(self, monkeypatch):
+        from repro.compile.problem import SimulationProblem
+        from repro.runtime import group_payloads
+
+        parses = []
+        real = SimulationProblem.from_dict.__func__
+
+        def counted(cls, payload):
+            parses.append(payload)
+            return real(cls, payload)
+
+        monkeypatch.setattr(SimulationProblem, "from_dict", classmethod(counted))
+        payloads = [
+            RunSpec(
+                problem=problem(steps=steps), backend="sampling",
+                run_kwargs={"shots": 64, "rng": index},
+            ).to_dict(canonical=True)
+            for steps in (1, 2)
+            for index in range(64)
+        ]
+        assert group_payloads(payloads) == [list(range(64)), list(range(64, 128))]
+        assert len(parses) == 2
+
+    def test_spellings_equal_as_dicts_keep_their_own_keys(self):
+        import numpy as np
+
+        from repro.runtime import batch_key, group_payloads
+        from repro.utils.serialization import canonical_json
+
+        def sampling(shots, rng, time=0.3):
+            payload = RunSpec(
+                problem=problem(), backend="sampling",
+                run_kwargs={"shots": shots, "rng": rng},
+            ).to_dict(canonical=True)
+            payload["problem"]["time"] = time
+            return payload
+
+        payloads = [
+            sampling(64, 1), sampling(64.0, 2), sampling(64.0, 3),
+            sampling(64, 4, time=1), sampling(64, 5, time=1.0),
+        ]
+        # 64 and 64.0 compare equal but hash to different plan keys; a time
+        # of 1 and 1.0 normalizes to one problem key.
+        assert payloads[0]["run_kwargs"]["shots"] == payloads[1]["run_kwargs"]["shots"]
+        keys = [batch_key(payload) for payload in payloads]
+        assert keys[0] != keys[1] == keys[2] != keys[3] == keys[4]
+        assert group_payloads(payloads) == [[0], [1, 2], [3, 4]]
+        outcomes = ProcessExecutor(2, chunk_size=1).map_specs(payloads)
+        for outcome, payload in zip(outcomes, payloads):
+            reference = execute_spec(payload)
+            assert outcome["ok"] and reference["ok"]
+            assert canonical_json(outcome["result"]) == canonical_json(reference["result"])
+            for name, array in reference["arrays"].items():
+                assert np.array_equal(outcome["arrays"][name], array)
+
 
 class TestExecuteSpecBatch:
     def test_kernel_initial_state_batch_is_bit_identical(self):
@@ -715,12 +781,13 @@ class _RecordingQueue:
     def __init__(self):
         self.counts = []
 
-    def put_nowait(self, count):
+    def put(self, count):
         self.counts.append(count)
 
 
 class TestPerPointProgress:
-    def test_run_spec_chunk_counts_group_sizes(self):
+    def test_run_spec_chunk_counts_group_sizes(self, monkeypatch):
+        from repro.runtime import executor as executor_module
         from repro.runtime.executor import _run_spec_chunk
 
         groups = [
@@ -733,8 +800,10 @@ class TestPerPointProgress:
             ]
             for size in (2, 1)
         ]
+        # The channel a pool worker's initializer installs.
         queue = _RecordingQueue()
-        outcome_groups = _run_spec_chunk(groups, None, queue)
+        monkeypatch.setattr(executor_module, "_WORKER_CHANNEL", queue)
+        outcome_groups = _run_spec_chunk(groups, None)
         assert [len(g) for g in outcome_groups] == [2, 1]
         assert queue.counts == [2, 1]
 
@@ -761,9 +830,24 @@ class TestPerPointProgress:
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
         assert len(seen) >= 4
 
-    def test_no_progress_callback_skips_the_manager(self):
-        executor = ProcessExecutor(2)
-        manager, queue, drain = executor._progress_channel(None, 10)
-        assert manager is None and queue is None
-        drain(final=True)  # the no-op drain must be callable
+    def test_progress_starts_no_process_beside_the_workers(self):
+        import multiprocessing
 
+        # Counts travel over the pool's own channel: during a call with a
+        # progress callback the only children are the pool's workers, and
+        # they are the same processes after the call.
+        payloads = [
+            RunSpec(problem=problem(steps=k)).to_dict(canonical=True)
+            for k in range(1, 7)
+        ]
+        during = []
+        with ProcessExecutor(2, chunk_size=1) as executor:
+            executor.map_specs(
+                payloads,
+                progress=lambda d, t: during.append(
+                    {p.pid for p in multiprocessing.active_children()}
+                ),
+            )
+            after = {p.pid for p in multiprocessing.active_children()}
+        assert during and len(after) == 2
+        assert all(children == after for children in during)
