@@ -57,7 +57,9 @@ Determinism: every probabilistic rule draws from its own
 ``random.Random(f"{seed}:{site}:{rule_index}")`` stream keyed only on the
 plan seed and the rule's identity, and every counting trigger uses a
 per-rule call counter — so the same plan over the same per-process call
-sequence injects exactly the same faults.  Every fire increments the
+sequence injects exactly the same faults.  A ``ProcessExecutor`` starts
+fresh workers for every call while ``REPRO_FAULTS`` is set, so in a pool
+the counters count per worker per call.  Every fire increments the
 ``resilience.faults_injected`` counter (plus a per-site
 ``resilience.faults.<site>`` counter), so a chaos run can assert the fault
 actually happened.

@@ -18,6 +18,7 @@ pool never depends on pickling library objects across versions.
 
 from __future__ import annotations
 
+import gc
 import logging
 import marshal
 import math
@@ -33,7 +34,7 @@ from typing import Any, Protocol, runtime_checkable
 import numpy as np
 
 from repro.exceptions import ReproError, SpecError
-from repro.resilience import fault_point
+from repro.resilience import FAULTS_ENV, fault_point
 from repro.resilience import reset_process as _reset_fault_state
 from repro.telemetry import current_trace_context, metrics, span, trace_context
 
@@ -238,9 +239,12 @@ def group_payloads(payloads: "Sequence[dict]") -> list[list[int]]:
     Order-preserving by construction (a sweep expands its repeats/seed axis
     innermost, so batchable points are adjacent); unbatchable payloads come
     back as singleton groups.  Concatenating the groups restores the input
-    order exactly.  A payload equal to its predecessor outside the batch
-    axis reuses the predecessor's key instead of parsing its problem again.
+    order exactly.  A lone payload is its own group without a key, and a
+    payload equal to its predecessor outside the batch axis reuses the
+    predecessor's key instead of parsing its problem again.
     """
+    if len(payloads) == 1:
+        return [[0]]
     groups: list[list[int]] = []
     previous: "str | None" = None
     previous_identity: "bytes | None" = None
@@ -459,21 +463,26 @@ def pin_blas_threads(n: int = 1) -> None:
 
 
 def _worker_init(blas_threads: int, channel=None) -> None:
-    """Process-pool initializer: BLAS pinning, a fresh fault plan, the channel.
+    """Process-pool initializer: a frozen heap, BLAS pinning, a fresh fault plan.
 
     Runs once per worker when its pool starts, not once per call: a warm
     pool's workers keep what they set up here for every later
-    :meth:`ProcessExecutor.map_specs`.  It caps BLAS/OpenMP threading so
-    ``n_workers`` processes do not fan out ``n_workers × N`` BLAS threads
-    over the same cores.  Fault-plan state is reset so a forked worker
-    re-reads ``REPRO_FAULTS`` (as it was when the pool started) with fresh
-    trigger counters instead of inheriting the parent's mid-count plan.
+    :meth:`ProcessExecutor.map_specs`.  It freezes the heap the worker
+    inherited, so the worker's full garbage collections skip the parent's
+    objects: walking them copied each page they wrote to and stalled a
+    warm call for as long as a cold pool start.  It caps BLAS/OpenMP
+    threading so ``n_workers`` processes do not fan out ``n_workers × N``
+    BLAS threads over the same cores.  Fault-plan state is reset so a forked
+    worker re-reads ``REPRO_FAULTS`` (as it was when the pool started) with
+    fresh trigger counters instead of inheriting the parent's mid-count
+    plan; while it is set a pool serves one call, so they count per call.
     ``REPRO_PROFILE`` arms the profiler the same way.  ``channel`` is the
     pool's progress queue, which :func:`_run_spec_chunk` reports into.
     """
     from repro.telemetry.profiler import maybe_start_profiler
 
     global _WORKER_CHANNEL
+    gc.freeze()
     _WORKER_CHANNEL = channel
     _reset_fault_state()
     pin_blas_threads(blas_threads)
@@ -629,8 +638,9 @@ class ProcessExecutor:
     workers copy its memory, spawned ones import afresh.  A pool is
     therefore rebuilt before a call when the strategy or backend registry or
     the ``REPRO_*`` environment changed since it started, and when a worker
-    died while the pool sat idle.  Every worker starts through an
-    initializer that pins BLAS/OpenMP threading to
+    died while the pool sat idle.  While ``REPRO_FAULTS`` is set every call
+    starts a fresh pool, so fault triggers count per call.  Every worker
+    starts through an initializer that pins BLAS/OpenMP threading to
     ``blas_threads_per_worker`` (default 1), so a CPU-count pool does not
     oversubscribe the box with ``n_workers × N`` BLAS threads.  Progress
     counts travel over one channel created with the pool, so a call on a
@@ -731,13 +741,17 @@ class ProcessExecutor:
 
         A pool whose workers copied an older registry or ``REPRO_*``
         environment is closed; one that broke or lost a worker is killed.
-        Either way the old pool is gone before the new one forks.
+        Either way the old pool is gone before the new one forks.  While
+        ``REPRO_FAULTS`` is set a pool is never reused: its workers' trigger
+        counters (``n=``, ``every=``, ``after=``, ``times=``, ``once``
+        without ``state=``) then start afresh with every call, as they did
+        when every call started its own pool.
         """
         warm = self._warm
         if warm.pool is not None:
             if warm.dead_worker():
                 warm.kill()
-            elif warm.stamp != _inherited_state():
+            elif warm.stamp != _inherited_state() or FAULTS_ENV in os.environ:
                 warm.close()
         if warm.pool is None:
             warm.start(self.n_workers, self.mp_context, self.blas_threads_per_worker)
@@ -777,8 +791,7 @@ class ProcessExecutor:
         :func:`execute_spec_batch` and return their outcomes through the
         pool's result pipe.  Outcomes come back in payload order with the
         exact per-point contract of :func:`execute_spec`.  A lone payload
-        runs in-process without grouping, and so does every call on a
-        one-worker executor.
+        runs in-process, and so does every call on a one-worker executor.
 
         With ``point_timeout`` set, a watchdog tracks per-group completions:
         a pool that stops making progress (hung point) or loses a worker to
@@ -793,13 +806,8 @@ class ProcessExecutor:
         payloads = list(payloads)
         if not payloads:
             return []
-        if len(payloads) == 1:
-            results = execute_spec_batch(payloads)
-            if progress is not None:
-                progress(1, 1)
-            return results
         groups = group_payloads(payloads)
-        if self.n_workers == 1:
+        if self.n_workers == 1 or len(payloads) == 1:
             # In-process: same batched semantics, no transport needed.  The
             # groups are consecutive, so their outcomes concatenate in order.
             results: list = []

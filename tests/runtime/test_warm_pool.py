@@ -104,10 +104,15 @@ class TestReuse:
             executor.map_specs(sampling_payloads())
             assert len(spawned()) == 4
 
-    def test_a_lone_payload_starts_no_pool(self, spawned):
-        with ProcessExecutor(2) as executor:
-            [outcome] = executor.map_specs(statevector_payloads(1))
-            assert outcome["ok"] and spawned() == set()
+    def test_workers_freeze_the_heap_they_inherit(self, spawned):
+        # Otherwise a worker's full collection walks every object of the
+        # parent's heap, copying each page it writes to, mid-call.
+        import gc
+
+        with ProcessExecutor(2, chunk_size=1) as executor:
+            executor.map_specs(statevector_payloads())
+            frozen = executor._warm.pool.submit(gc.get_freeze_count)
+            assert frozen.result(timeout=30) > 0
 
     def test_spawn_pool_is_reused_and_bit_identical(self, spawned):
         payloads = sampling_payloads()
@@ -181,6 +186,30 @@ class TestRebuild:
         assert not any(outcome["ok"] for outcome in faulted)
         assert {outcome["error"]["type"] for outcome in faulted} == {"FaultInjected"}
         assert_bit_identical(clean, reference)
+
+    def test_fault_triggers_count_per_call_under_an_unchanged_plan(
+        self, spawned, monkeypatch
+    ):
+        # Trigger counters live in the workers, so a plan's calls each get
+        # fresh workers: `n=1` fires in every call, not only in the first.
+        from repro.resilience import FAULTS_ENV, configure_faults
+
+        payloads = statevector_payloads()
+        monkeypatch.setenv(FAULTS_ENV, "worker.execute:raise@n=1")
+        try:
+            with ProcessExecutor(2, chunk_size=1) as executor:
+                first = executor.map_specs(payloads)
+                first_workers = spawned()
+                second = executor.map_specs(payloads)
+                assert spawned() and not spawned() & first_workers
+        finally:
+            monkeypatch.delenv(FAULTS_ENV)
+            configure_faults(None)
+        for outcomes in (first, second):
+            # One fire in each worker that took a chunk.
+            failed = [outcome for outcome in outcomes if not outcome["ok"]]
+            assert 1 <= len(failed) <= 2
+            assert {outcome["error"]["type"] for outcome in failed} == {"FaultInjected"}
 
 
 class TestLifetime:
