@@ -6,8 +6,8 @@ Two measurements:
    every instrumented site pays one :func:`repro.resilience.fault_point`
    call that sees the null plan and returns immediately.  The benchmark
    times that call in a tight loop, multiplies by the sites a grid point
-   traverses (worker.execute + cache.get + cache.put + cache.put.torn, with
-   one site to spare), and asserts the product is ≤ 2% of a measured
+   traverses (worker.execute + cache.get + cache.put, with two sites to
+   spare), and asserts the product is ≤ 2% of a measured
    point's wall time.  A regression here means someone put real work on the
    disabled path — the whole design hinges on production sweeps not paying
    for the chaos harness they are not running.
@@ -41,8 +41,9 @@ from repro.runtime import RunSpec, execute_spec
 RESULT_PATH = Path(__file__).resolve().parent / "BENCH_resilience.json"
 
 #: Fault sites one grid point traverses end to end: worker.execute,
-#: cache.get, cache.put, cache.put.torn.  Kept at one more than that, so the
-#: 2% check stays at least as strict as when the pool had a fifth site.
+#: cache.get, cache.put.  Kept at two more than that, so the 2% check stays
+#: at least as strict as when the pool had a fifth site and the cache a
+#: fourth (the two-file entry's ``cache.put.torn``).
 SITES_PER_POINT = 5
 
 #: The claim: disabled fault points add at most this fraction of a point.

@@ -3,8 +3,8 @@
 A chaos claim ("a sweep survives any single failure") is only provable if the
 failures can be *produced on demand, reproducibly*.  This module provides the
 production side: named **fault sites** instrumented into the hot paths —
-``cache.put``, ``cache.get``, ``cache.put.torn``, ``worker.execute``,
-``protocol.send``, ``daemon.claim`` — and a
+``cache.put``, ``cache.get``, ``worker.execute``, ``protocol.send``,
+``daemon.claim`` — and a
 :class:`FaultPlan` that decides, deterministically, which calls at which
 sites misbehave and how.
 

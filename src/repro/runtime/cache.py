@@ -1,13 +1,15 @@
 """Content-addressed on-disk result store.
 
 Each entry is addressed by a :meth:`~repro.runtime.spec.RunSpec.content_key`
-and stored as a JSON sidecar (metadata + scalar payloads) plus an optional
-``.npz`` (array payloads), sharded by the first two hex digits of the key.
-The store is versioned — entries live under ``v{SPEC_VERSION}/`` so a change
-to the canonical serialization scheme starts a fresh namespace instead of
-serving stale bytes — and size-capped with least-recently-*used* eviction
-(the sidecar's mtime is touched on every hit).  :meth:`ResultCache.clear`
-also removes the older ``v<N>/`` namespaces a version bump strands.
+and stored as one file, ``<shard>/<key>.entry``, sharded by the first two hex
+digits of the key.  The file is :func:`~repro.runtime.results.pack`'s byte
+string: a length-prefixed JSON header (the encoded result's metadata, key,
+label, creation time, and each array's dtype and shape), then the raw array
+bytes.  The store is versioned — entries live under ``v{SPEC_VERSION}/`` so a
+change to the canonical serialization scheme starts a fresh namespace instead
+of serving stale bytes — and size-capped with least-recently-*used* eviction
+(the entry's mtime is touched on every hit).  :meth:`ResultCache.clear` also
+removes the older ``v<N>/`` namespaces a version bump strands.
 
 Configuration follows the environment:
 
@@ -18,23 +20,20 @@ Configuration follows the environment:
 Pool workers never write the cache (they return payloads over the pipe);
 sessions and the daemon's threads do, and several of them may share one
 directory.  Every write goes through a temp file named for its writer
-(process and thread id) and ``os.replace``, so two writers of the same key
-never truncate or rename each other's temp file, and a reader sees either a
-whole file or none.  An entry can still be torn — an ``.npz`` whose sidecar
-is not written yet, or a sidecar whose ``.npz`` a concurrent eviction
-removed — and a torn entry reads as a miss, which recomputes.
+(process and thread id) and one ``os.replace``, so two writers of the same key
+never truncate or rename each other's temp file, and an entry either exists
+whole or does not exist.  An entry that does not unpack (a damaged disk, a
+file written by something else) reads as a miss, which recomputes.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
 import shutil
 import threading
 import time
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -43,8 +42,8 @@ import numpy as np
 
 from repro.resilience import fault_point
 from repro.telemetry import metrics, span
-from repro.utils.serialization import SPEC_VERSION, canonical_json
-from repro.runtime.results import decode_result, encode_result
+from repro.utils.serialization import SPEC_VERSION
+from repro.runtime.results import decode_result, encode_result, pack, read_header, unpack
 
 logger = logging.getLogger("repro.runtime.cache")
 
@@ -72,7 +71,7 @@ def default_cache_dir() -> Path:
 def _writer_tmp(path: Path) -> Path:
     """This writer's temp file for ``path``: ``<name>.<pid>.<thread id>.tmp``.
 
-    Never matches the ``*.json``/``*.npz`` globs that list entries.
+    Never matches the ``*.entry`` glob that lists entries.
     """
     return path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
 
@@ -120,14 +119,13 @@ class ResultCache:
         self.misses = 0
         # Approximate store size, maintained incrementally so a sweep's
         # per-put eviction check is O(1); a full rescan happens only when
-        # the estimate crosses the cap (and inside _evict itself).
+        # the estimate crosses the cap (inside _evict).
         self._approx_bytes: int | None = None
 
     # ----------------------------------------------------------------- layout
 
-    def _paths(self, key: str) -> tuple[Path, Path]:
-        shard = self.directory / key[:2]
-        return shard / f"{key}.json", shard / f"{key}.npz"
+    def _path(self, key: str) -> Path:
+        return self.directory / key[:2] / f"{key}.entry"
 
     # ------------------------------------------------------------------ access
 
@@ -135,13 +133,24 @@ class ResultCache:
         """The decoded result for ``key``, or ``default`` on a miss.
 
         A cache that cannot be read degrades to a miss, never to a failed
-        point: unreadable shards, corrupt sidecars, and truncated array
-        files all recompute (counted in ``resilience.fallbacks``).
+        point: unreadable shards and entries that do not unpack all
+        recompute (counted in ``resilience.fallbacks``).
         """
+        return self._read(key, default, decode=True)
+
+    def get_entry(self, key: str) -> "bytes | None":
+        """The stored bytes for ``key`` (checked to unpack), or ``None``.
+
+        A hit or a miss exactly as for :meth:`get`, without decoding: the
+        daemon's ``result`` op sends these bytes as they are.
+        """
+        return self._read(key, None, decode=False)
+
+    def _read(self, key: str, default: Any, *, decode: bool) -> Any:
         with span("cache.get") as sp:
             try:
-                value = self._get(key, default)
-            except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+                value = self._get(key, default, decode)
+            except (OSError, ValueError, KeyError) as exc:
                 logger.warning(
                     "cache read failed for %s (%s: %s); recomputing",
                     key[:12], type(exc).__name__, exc,
@@ -155,27 +164,19 @@ class ResultCache:
         metrics.incr("cache.hits" if hit else "cache.misses")
         return value
 
-    def _get(self, key: str, default: Any) -> Any:
+    def _get(self, key: str, default: Any, decode: bool) -> Any:
         fault_point("cache.get")
-        sidecar, npz = self._paths(key)
+        path = self._path(key)
         try:
-            payload = json.loads(sidecar.read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
+            data = path.read_bytes()
+        except FileNotFoundError:
             self.misses += 1
             return default
-        arrays: dict[str, np.ndarray] = {}
-        if payload.get("has_arrays"):
-            try:
-                with np.load(npz) as stored:
-                    arrays = {name: stored[name] for name in stored.files}
-            except FileNotFoundError:
-                # Torn entry (npz evicted/cleared out from under the sidecar).
-                self.misses += 1
-                return default
-        value = decode_result(payload["result"], arrays)
+        header, arrays = unpack(data)
+        value = decode_result(header["result"], arrays) if decode else data
         try:
             now = time.time()
-            os.utime(sidecar, (now, now))  # LRU recency bump
+            os.utime(path, (now, now))  # LRU recency bump
         except OSError:
             # The entry was evicted/cleared by a concurrent session between
             # the read and the bump; the value in hand is still good.
@@ -184,7 +185,7 @@ class ResultCache:
         return value
 
     def __contains__(self, key: str) -> bool:
-        return self._paths(key)[0].exists()
+        return self._path(key).exists()
 
     def put(self, key: str, value: Any, *, label: str | None = None) -> None:
         """Encode and store ``value`` under ``key`` (atomic, then evict)."""
@@ -203,9 +204,8 @@ class ResultCache:
 
         Degrades gracefully: an :class:`OSError` (full disk, read-only or
         quarantined shard) is logged and counted, never raised — the caller
-        keeps its computed result, it simply stays uncached.  A failure
-        between the array write and the sidecar write leaves at worst an
-        orphan npz, which reads as a miss and is swept by :meth:`clear`.
+        keeps its computed result, it simply stays uncached, and the
+        writer's temp file is removed.
         """
         with span("cache.put", arrays=len(arrays)) as sp:
             try:
@@ -219,17 +219,12 @@ class ResultCache:
                 )
                 metrics.incr("resilience.fallbacks")
                 metrics.incr("cache.put_failures")
-                self._cleanup_partial(key)
+                try:
+                    _writer_tmp(self._path(key)).unlink(missing_ok=True)
+                except OSError:
+                    pass
                 return
         metrics.incr("cache.puts")
-
-    def _cleanup_partial(self, key: str) -> None:
-        """Best-effort removal of a failed put's temp files (never raises)."""
-        for tmp in self._paths(key):
-            try:
-                _writer_tmp(tmp).unlink()
-            except OSError:
-                pass
 
     def _put_encoded(
         self,
@@ -240,61 +235,48 @@ class ResultCache:
         label: str | None = None,
     ) -> None:
         fault_point("cache.put")
-        sidecar, npz = self._paths(key)
-        sidecar.parent.mkdir(parents=True, exist_ok=True)
-        if arrays:
-            tmp_npz = _writer_tmp(npz)
-            with open(tmp_npz, "wb") as handle:
-                np.savez(handle, **arrays)
-            os.replace(tmp_npz, npz)
-        # A crash (or injected fault) here is the torn-write window: the npz
-        # exists but the sidecar — the entry's existence marker — does not,
-        # so readers see a recoverable miss, never partial data.
-        fault_point("cache.put.torn")
-        payload = {
-            "key": key,
-            "result": json.loads(canonical_json(meta)),
-            "has_arrays": bool(arrays),
-            "label": label,
-            "created": time.time(),
-        }
-        tmp_json = _writer_tmp(sidecar)
-        tmp_json.write_text(json.dumps(payload))
-        os.replace(tmp_json, sidecar)
+        data = pack(meta, arrays, key=key, label=label, created=time.time())
+        path = self._path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = _writer_tmp(path)
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
         if self.max_bytes:
-            if self._approx_bytes is None:
-                self._approx_bytes = self._measure_bytes()
-            else:
-                try:
-                    self._approx_bytes += sidecar.stat().st_size + (
-                        npz.stat().st_size if arrays else 0
-                    )
-                except OSError:  # pragma: no cover - concurrent removal
-                    pass
-            if self._approx_bytes > self.max_bytes:
+            if self._approx_bytes is not None:
+                self._approx_bytes += len(data)
+            if self._approx_bytes is None or self._approx_bytes > self.max_bytes:
                 self._evict()
 
     # -------------------------------------------------------------- inventory
 
-    def entries(self) -> list[CacheEntry]:
-        """Every stored entry, most recently used first."""
-        found: list[CacheEntry] = []
-        for sidecar in self.directory.glob("*/*.json"):
+    def _scan(self) -> "list[tuple[float, int, Path]]":
+        """``(last used, size, path)`` per entry: one ``stat`` each, no reads."""
+        found = []
+        for path in self.directory.glob("*/*.entry"):
             try:
-                payload = json.loads(sidecar.read_text())
-                stat = sidecar.stat()
-            except (OSError, json.JSONDecodeError):  # pragma: no cover - races
+                stat = path.stat()
+            except OSError:  # pragma: no cover - concurrent removal
                 continue
-            npz = sidecar.with_suffix(".npz")
-            size = stat.st_size + (npz.stat().st_size if npz.exists() else 0)
+            found.append((stat.st_mtime, stat.st_size, path))
+        return found
+
+    def entries(self) -> list[CacheEntry]:
+        """Every stored entry, most recently used first (reads each header)."""
+        found: list[CacheEntry] = []
+        for last_used, size, path in self._scan():
+            try:
+                header = read_header(path)
+            except (OSError, ValueError):  # pragma: no cover - races, damage
+                continue
             found.append(
                 CacheEntry(
-                    key=payload.get("key", sidecar.stem),
-                    kind=payload.get("result", {}).get("kind", "?"),
+                    key=header.get("key", path.stem),
+                    kind=header["result"].get("kind", "?"),
                     size_bytes=size,
-                    created=payload.get("created", stat.st_mtime),
-                    last_used=stat.st_mtime,
-                    label=payload.get("label"),
+                    created=header.get("created", last_used),
+                    last_used=last_used,
+                    label=header.get("label"),
                 )
             )
         return sorted(found, key=lambda e: e.last_used, reverse=True)
@@ -302,30 +284,33 @@ class ResultCache:
     def stats(self) -> dict:
         """Entry count, byte total and the session's hit/miss counters.
 
-        Read-only: an ``.npz`` without its sidecar is not counted, and it is
-        not removed either, because a concurrent :meth:`put_encoded` may be
-        between its two writes.  :meth:`clear` sweeps such orphans.
+        Read-only, and it opens no entry: the counts come from one ``stat``
+        per entry file.
         """
-        entries = self.entries()
+        scanned = self._scan()
         return {
             "directory": str(self.directory),
-            "entries": len(entries),
-            "total_bytes": sum(e.size_bytes for e in entries),
+            "entries": len(scanned),
+            "total_bytes": sum(size for _, size, _ in scanned),
             "max_bytes": self.max_bytes,
             "hits": self.hits,
             "misses": self.misses,
         }
 
     def clear(self) -> int:
-        """Remove every entry (and any orphan npz), and every older namespace.
+        """Remove every entry, dead writers' temp files, and older namespaces.
 
-        Returns how many entries went, the older namespaces' included.
+        A writer killed between its temp write and its ``os.replace`` leaves
+        its temp file behind; this is the one place those go.  A live writer
+        whose temp file goes with them degrades to an uncached put, like any
+        failed write.  Returns how many entries went, the older namespaces'
+        included (temp files are not entries).
         """
         removed = 0
-        for sidecar in self.directory.glob("*/*.json"):
-            self._remove(sidecar)
-            removed += 1
-        removed += self._sweep_orphans()
+        for path in self.directory.glob("*/*"):
+            if path.suffix in (".entry", ".tmp"):
+                path.unlink(missing_ok=True)
+                removed += path.suffix == ".entry"
         removed += self._remove_stale_namespaces()
         self._approx_bytes = 0
         return removed
@@ -337,7 +322,8 @@ class ResultCache:
         or eviction looks there, so this is the only place its bytes are
         reclaimed.  Newer namespaces (a newer install sharing the root) and
         directories with other names are left alone.  Returns the number of
-        entries (sidecars) the removed namespaces held.
+        entries the removed namespaces held: one per ``.entry`` file, or per
+        JSON sidecar in the two-file layout of ``v4`` and earlier.
         """
         stale = [
             sibling
@@ -348,7 +334,7 @@ class ResultCache:
         ]
         removed = 0
         for namespace in stale:
-            removed += sum(1 for _ in namespace.glob("*/*.json"))
+            removed += sum(1 for p in namespace.glob("*/*") if p.suffix in (".entry", ".json"))
             shutil.rmtree(namespace, ignore_errors=True)
         if stale:
             logger.info(
@@ -359,71 +345,18 @@ class ResultCache:
             )
         return removed
 
-    def _measure_bytes(self) -> int:
-        """Full scan: the store's true byte total (sidecars + arrays)."""
-        total = 0
-        for sidecar in self.directory.glob("*/*.json"):
-            try:
-                total += sidecar.stat().st_size
-                npz = sidecar.with_suffix(".npz")
-                if npz.exists():
-                    total += npz.stat().st_size
-            except OSError:  # pragma: no cover - concurrent removal
-                continue
-        return total
-
     # ---------------------------------------------------------------- eviction
-
-    def _remove(self, sidecar: Path) -> None:
-        # The npz goes first: the sidecar is the entry's existence marker, so
-        # a crash between the two unlinks leaves a sidecar whose get() is a
-        # recoverable torn-entry miss — never an orphan npz that no listing
-        # reaches but every byte count includes.
-        npz = sidecar.with_suffix(".npz")
-        for path in (npz, sidecar):
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
-
-    def _sweep_orphans(self) -> int:
-        """Unlink npz files whose sidecar is gone; returns how many."""
-        removed = 0
-        for npz in self.directory.glob("*/*.npz"):
-            if npz.with_suffix(".json").exists():
-                continue
-            try:
-                npz.unlink()
-                removed += 1
-            except OSError:  # pragma: no cover - concurrent removal
-                continue
-        if removed:
-            logger.warning(
-                "swept %d orphaned array file(s) from %s (crash debris)",
-                removed,
-                self.directory,
-            )
-        return removed
 
     def _evict(self) -> None:
         """Drop least-recently-used entries until under the size cap."""
         if self.max_bytes == 0:
             return
-        sized: list[tuple[float, int, Path]] = []
-        total = 0
-        for sidecar in self.directory.glob("*/*.json"):
-            try:
-                stat = sidecar.stat()
-            except OSError:  # pragma: no cover - concurrent removal
-                continue
-            npz = sidecar.with_suffix(".npz")
-            size = stat.st_size + (npz.stat().st_size if npz.exists() else 0)
-            sized.append((stat.st_mtime, size, sidecar))
-            total += size
+        scanned = self._scan()
+        total = sum(size for _, size, _ in scanned)
         if total > self.max_bytes:
             evicted = 0
-            for _, size, sidecar in sorted(sized):  # oldest last-use first
-                self._remove(sidecar)
+            for _, size, path in sorted(scanned):  # oldest last-use first
+                path.unlink(missing_ok=True)
                 total -= size
                 evicted += 1
                 if total <= self.max_bytes:

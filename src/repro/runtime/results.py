@@ -9,6 +9,10 @@ boundaries: a process boundary (worker → parent) and a persistence boundary
 and :func:`decode_result` reconstructs the original object, so both boundaries
 share one codec and a cache hit is indistinguishable from a fresh run.
 
+:func:`pack`/:func:`unpack` turn ``(meta, arrays)`` into one byte string and
+back; a cache entry is one such string on disk, and the service sends the
+same bytes on the wire.
+
 :class:`RunRecord` is one executed (or cache-served, or failed) grid point;
 :class:`ResultSet` is the ordered collection a sweep returns, with filtering
 and JSON export.
@@ -16,11 +20,17 @@ and JSON export.
 
 from __future__ import annotations
 
+import json
+import math
+import os
+import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 import numpy as np
+from numpy.lib.format import descr_to_dtype, dtype_to_descr
 
 from repro.exceptions import ExecutionError
 from repro.utils.serialization import SerializationError, canonical_json
@@ -42,7 +52,7 @@ def encode_result(value: Any) -> tuple[dict, dict[str, np.ndarray]]:
     types.
 
     Executors carry the pair as it is: the process pool returns it through
-    its result pipe and the service base64-encodes the arrays on the wire,
+    its result pipe and the service sends it :func:`pack`-ed on the wire,
     so :func:`decode_result` always sees real ndarrays.
     """
     from repro.circuits.density_matrix import DensityMatrix
@@ -57,6 +67,8 @@ def encode_result(value: Any) -> tuple[dict, dict[str, np.ndarray]]:
     if isinstance(value, DensityMatrix):
         return {"kind": "density_matrix"}, {"data": np.asarray(value.data)}
     if isinstance(value, np.ndarray):
+        if value.dtype.hasobject:
+            raise SerializationError("cannot encode an object-dtype ndarray result")
         return {"kind": "ndarray"}, {"data": value}
     if isinstance(value, SamplingResult):
         meta = {
@@ -134,6 +146,78 @@ def decode_result(meta: dict, arrays: dict[str, np.ndarray]) -> Any:
     if kind == "json":
         return meta["value"]
     raise SerializationError(f"unknown encoded-result kind {kind!r}")
+
+
+#: A packed result's header-length prefix; the header is space-padded so the
+#: array bytes start 64-byte aligned, as in ``.npy`` files.
+_LENGTH, _ALIGN = struct.Struct("<Q"), 64
+
+
+def pack(meta: dict, arrays: "dict[str, np.ndarray]", **fields: Any) -> bytes:
+    """``(meta, arrays)`` as one byte string; :func:`unpack` inverts it.
+
+    The string is an 8-byte little-endian header length, the canonical JSON
+    of ``fields`` plus ``"result": meta`` and ``"arrays"`` (``[name, dtype
+    descr, shape]`` per array), then each array's raw C-order bytes in that
+    order.  Object arrays raise :class:`ValueError`, as ``np.save`` does
+    without pickling.
+    """
+    arrays = {name: np.asarray(array) for name, array in arrays.items()}
+    if any(array.dtype.hasobject for array in arrays.values()):
+        raise ValueError("arrays with an object dtype cannot be packed")
+    layout = [[name, dtype_to_descr(a.dtype), list(a.shape)] for name, a in arrays.items()]
+    header = canonical_json({**fields, "result": meta, "arrays": layout}).encode("ascii")
+    header += b" " * (-(_LENGTH.size + len(header)) % _ALIGN)
+    return b"".join([_LENGTH.pack(len(header)), header, *(a.tobytes() for a in arrays.values())])
+
+
+def _split(view: memoryview) -> "tuple[dict, int]":
+    """A packed buffer's header and the offset its array bytes start at."""
+    if len(view) < _LENGTH.size:
+        raise ValueError(f"a packed result of {len(view)} bytes has no header length")
+    end = _LENGTH.size + _LENGTH.unpack_from(view)[0]
+    if end > len(view):
+        raise ValueError(f"a packed header runs past the {len(view)} bytes given")
+    header = json.loads(bytes(view[_LENGTH.size:end]))
+    if not isinstance(header, dict) or not isinstance(header.get("result"), dict):
+        raise ValueError("a packed header must be a JSON object holding a result")
+    return header, end
+
+
+def unpack(buffer) -> "tuple[dict, dict[str, np.ndarray]]":
+    """Inverse of :func:`pack`: ``(header, arrays)``, the meta at ``header["result"]``.
+
+    The arrays are writable views into ``buffer`` (a read-only buffer is
+    copied first).  A short, long or malformed buffer, or an object dtype,
+    raises :class:`ValueError`.
+    """
+    view = memoryview(buffer).cast("B")
+    if view.readonly:
+        view = memoryview(bytearray(view))
+    header, offset = _split(view)
+    arrays = {}
+    try:
+        for name, descr, shape in header["arrays"]:
+            dtype = descr_to_dtype(descr)
+            if dtype.hasobject or min(shape, default=0) < 0:
+                raise ValueError(f"cannot unpack array {name!r} ({descr!r}, {shape!r})")
+            count = math.prod(shape)
+            arrays[name] = np.frombuffer(view, dtype, count, offset).reshape(shape)
+            offset += count * dtype.itemsize
+    except (KeyError, TypeError, SyntaxError) as exc:  # np.dtype parses some strings
+        raise ValueError(f"malformed packed header: {exc!r}") from exc
+    if offset != len(view):
+        raise ValueError(f"{len(view) - offset} bytes follow the packed arrays")
+    return header, arrays
+
+
+def read_header(path: "str | Path") -> dict:
+    """The header of the packed file at ``path``, read without its array bytes."""
+    with open(path, "rb") as handle:
+        prefix = handle.read(_LENGTH.size)
+        length = _LENGTH.unpack(prefix)[0] if len(prefix) == _LENGTH.size else 0
+        length = min(length, os.fstat(handle.fileno()).st_size)
+        return _split(memoryview(prefix + handle.read(length)))[0]
 
 
 def _array_to_json(array: np.ndarray) -> dict:

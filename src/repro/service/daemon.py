@@ -49,7 +49,7 @@ from typing import Any
 from repro.exceptions import ReproError, SpecError
 from repro.resilience import fault_point
 from repro.runtime.cache import ResultCache
-from repro.runtime.results import encode_result
+from repro.runtime.results import pack
 from repro.telemetry import metrics
 from repro.telemetry.exporters import MetricsHTTPServer, render_prometheus
 from repro.telemetry.profiler import maybe_start_profiler
@@ -61,7 +61,7 @@ from repro.service.protocol import (
     RemoteError,
     ServiceError,
     default_service_dir,
-    encode_arrays,
+    entry_to_wire,
     outcome_from_wire,
     recv_frame,
     send_frame,
@@ -228,10 +228,10 @@ class Daemon:
         # Fleet-wide per-phase seconds accumulated from completed points'
         # timings dicts (exposed by the stats op alongside metrics).
         self._phase_totals: "dict[str, float]" = {}
-        # Completed results whose cache write did not land (full disk, torn
+        # Packed results whose cache write did not land (full disk, failed
         # write): the cache is normally the daemon's only copy, so keep these
         # in memory or a swallowed put silently loses a computed point.
-        self._uncached_results: "dict[str, tuple[dict, dict]]" = {}
+        self._uncached_results: "dict[str, bytes]" = {}
         # Stamped by every reaper iteration; ``health`` reports the lag so a
         # wedged reaper (leases never re-queued) is observable.
         self._last_reap = time.time()
@@ -538,8 +538,8 @@ class Daemon:
                 )
             points = list(job.points)
             state = job.state
-        # Cache reads happen outside the lock: they touch the filesystem and
-        # may decode large arrays, and the cache is internally consistent.
+        # Cache reads happen outside the lock: they touch the filesystem, and
+        # the cache is internally consistent.
         outcomes = [self._point_outcome(point) for point in points]
         return {"job_id": job.job_id, "state": state, "outcomes": outcomes}
 
@@ -553,17 +553,12 @@ class Daemon:
             "timings": point.timings or {},
         }
         if point.status == J.OK:
-            value = self.cache.get(point.key)
-            if value is self._cache_miss_sentinel():
-                stashed = self._uncached_results.get(point.key)
-                if stashed is not None:
-                    meta, arrays = stashed
-                    return {
-                        **base,
-                        "ok": True,
-                        "result": meta,
-                        "arrays": encode_arrays(arrays),
-                    }
+            # The stored entry goes out as it is: the wire carries the same
+            # packed bytes the cache holds (see outcome_from_wire).
+            entry = self.cache.get_entry(point.key)
+            if entry is None:
+                entry = self._uncached_results.get(point.key)
+            if entry is None:
                 return {
                     **base,
                     "ok": False,
@@ -574,8 +569,7 @@ class Daemon:
                         "traceback": "",
                     },
                 }
-            meta, arrays = encode_result(value)
-            return {**base, "ok": True, "result": meta, "arrays": encode_arrays(arrays)}
+            return {**base, "ok": True, "entry": entry_to_wire(entry)}
         if point.status == J.POINT_FAILED:
             return {**base, "ok": False, "error": point.error}
         kind = "CancelledError" if point.status == J.POINT_CANCELLED else "PendingError"
@@ -588,12 +582,6 @@ class Daemon:
                 "traceback": "",
             },
         }
-
-    @staticmethod
-    def _cache_miss_sentinel():
-        from repro.runtime.cache import MISS
-
-        return MISS
 
     def _op_cancel(self, request: dict) -> dict:
         with self._lock:
@@ -934,14 +922,12 @@ class Daemon:
                 for index, outcome in zip(lease.chunk.indices, outcomes)
                 if outcome.get("ok") and job.points[index].status == J.PENDING
             ]
-        uncached = set()
+        uncached = {}
         for point, outcome in writes:
-            self.cache.put_encoded(
-                point.key, outcome["result"], outcome.get("arrays", {}),
-                label=point.label,
-            )
+            meta, arrays = outcome["result"], outcome.get("arrays", {})
+            self.cache.put_encoded(point.key, meta, arrays, label=point.label)
             if point.key not in self.cache:
-                uncached.add(point.key)
+                uncached[point.key] = pack(meta, arrays)
         with self._lock:
             if self._held_lease(worker_id, chunk_id) is not lease:
                 return {"applied": 0, "discarded": True}
@@ -958,12 +944,9 @@ class Daemon:
                     continue  # a redundant re-execution already landed
                 if outcome.get("ok"):
                     if point.key in uncached:
-                        # The put degraded (full/torn store).  Retain the only
-                        # copy so retrieval serves it instead of a cache miss.
-                        self._uncached_results[point.key] = (
-                            outcome["result"],
-                            outcome.get("arrays", {}),
-                        )
+                        # The put degraded (full or failing store).  Retain
+                        # the only copy so retrieval serves it, not a miss.
+                        self._uncached_results[point.key] = uncached[point.key]
                         metrics.incr("service.uncached_results")
                     point.status = J.OK
                 else:

@@ -7,11 +7,13 @@ with exactly one frame.  Requests are ``{"op": <name>, ...fields}``;
 responses are ``{"ok": true, ...fields}`` or ``{"ok": false, "error":
 {"type", "message"}}``.
 
-Array payloads (statevectors, density matrices) cannot ride in plain JSON, so
-the protocol carries them as base64-encoded ``.npy`` bytes —
-:func:`encode_arrays`/:func:`decode_arrays` are the codec, and
-:func:`outcome_to_wire`/:func:`outcome_from_wire` apply it to the outcome
-dicts produced by :func:`repro.runtime.executor.execute_spec`.
+A successful outcome's result cannot ride in plain JSON (its arrays are raw
+bytes), so :func:`outcome_to_wire` replaces its ``result`` and ``arrays`` with
+one ``entry`` field: the base64 of :func:`repro.runtime.results.pack`'s bytes,
+the same bytes a cache entry holds on disk, which is why the daemon can serve
+a stored entry without decoding it.  :func:`outcome_from_wire` unpacks it into
+the outcome dict :func:`repro.runtime.executor.execute_spec` produces.  That
+entry codec is ``PROTOCOL_VERSION`` 2.
 
 Daemon, workers and clients agree on filesystem defaults through
 :func:`default_service_dir` (``$REPRO_SERVICE_DIR`` or
@@ -21,8 +23,7 @@ result cache namespace all live under it unless overridden.
 
 from __future__ import annotations
 
-import base64
-import io
+import binascii
 import json
 import os
 import socket
@@ -30,13 +31,13 @@ import time
 from pathlib import Path
 from typing import Any, BinaryIO
 
-import numpy as np
-
 from repro.exceptions import ReproError
 from repro.resilience import fault_point
+from repro.runtime.results import pack, unpack
 
-#: Bump when the frame schema changes shape; the daemon refuses mismatches.
-PROTOCOL_VERSION = 1
+#: Bump when the frame schema changes shape; the daemon refuses mismatches
+#: (2: a result travels as one packed ``entry``).
+PROTOCOL_VERSION = 2
 
 #: Environment override for the service directory (socket + job state files).
 SERVICE_DIR_ENV = "REPRO_SERVICE_DIR"
@@ -277,42 +278,28 @@ class ServiceConnection:
 
 
 # ---------------------------------------------------------------------------
-# Array codec
+# Outcome codec
 # ---------------------------------------------------------------------------
 
 
-def encode_arrays(arrays: "dict[str, np.ndarray]") -> "dict[str, str]":
-    """name → ndarray mapping as base64 ``.npy`` strings (lossless)."""
-    encoded = {}
-    for name, array in arrays.items():
-        buffer = io.BytesIO()
-        np.save(buffer, np.asarray(array), allow_pickle=False)
-        encoded[name] = base64.b64encode(buffer.getvalue()).decode("ascii")
-    return encoded
-
-
-def decode_arrays(encoded: "dict[str, str]") -> "dict[str, np.ndarray]":
-    """Inverse of :func:`encode_arrays`."""
-    arrays = {}
-    for name, text in encoded.items():
-        buffer = io.BytesIO(base64.b64decode(text.encode("ascii")))
-        arrays[name] = np.load(buffer, allow_pickle=False)
-    return arrays
+def entry_to_wire(entry: bytes) -> str:
+    """Packed result bytes as a wire outcome's ``entry`` string (base64)."""
+    return binascii.b2a_base64(entry, newline=False).decode("ascii")
 
 
 def outcome_to_wire(outcome: dict) -> dict:
-    """An ``execute_spec`` outcome with its arrays made JSON-safe."""
-    wire = dict(outcome)
-    if wire.get("arrays"):
-        wire["arrays"] = encode_arrays(wire["arrays"])
+    """An ``execute_spec`` outcome made JSON-safe: a success's result is one ``entry``."""
+    if not outcome.get("ok"):
+        return dict(outcome)
+    wire = {k: v for k, v in outcome.items() if k not in ("result", "arrays")}
+    wire["entry"] = entry_to_wire(pack(outcome["result"], outcome.get("arrays") or {}))
     return wire
 
 
 def outcome_from_wire(wire: dict) -> dict:
-    """Inverse of :func:`outcome_to_wire` (arrays back to ndarrays)."""
+    """Inverse of :func:`outcome_to_wire` (the entry back to ``result``/``arrays``)."""
     outcome = dict(wire)
-    if outcome.get("arrays"):
-        outcome["arrays"] = decode_arrays(outcome["arrays"])
-    elif outcome.get("ok"):
-        outcome.setdefault("arrays", {})
+    if "entry" in outcome:
+        header, outcome["arrays"] = unpack(binascii.a2b_base64(outcome.pop("entry")))
+        outcome["result"] = header["result"]
     return outcome

@@ -31,10 +31,11 @@ from repro.exceptions import ReproError
 #: instead of the nested payloads), or when the value computed for an
 #: unchanged key changes (numerics that move results, even by rounding; 4:
 #: circuits run by gate structure, so diagonal gates multiply elementwise
-#: where a BLAS contraction rounded before) — every content key (and with it
-#: every cache entry) is versioned by this tag, so old results are never
-#: served beside new ones.
-SPEC_VERSION = 4
+#: where a BLAS contraction rounded before), or when the stored entry
+#: changes layout (5: one-file entries, no value moves) — every content key
+#: (and with it every cache entry) is versioned by this tag, so old results
+#: are never served beside new ones.
+SPEC_VERSION = 5
 
 
 class SerializationError(ReproError):

@@ -2,7 +2,7 @@
 
 Two stacks, same claim.  The pool certification injects a SIGKILLed worker
 under the resilient :class:`ProcessExecutor`; the service certification runs
-a daemon plus two *subprocess* workers with a SIGKILLed worker, a torn cache
+a daemon plus two *subprocess* workers with a SIGKILLed worker, a failed cache
 write and injected client disconnects.  In both, the final results must
 match a fault-free serial run bit for bit, and the resilience counters must
 show the faults actually fired.
@@ -56,7 +56,7 @@ def test_service_chaos_certification(make_daemon, tmp_path, monkeypatch):
     plan = (
         f"state={state};"
         "worker.execute:kill@once;"       # fires in exactly one fleet worker
-        "cache.put.torn:raise=EIO@n=1;"   # tears the daemon's first cache write
+        "cache.put:raise=EIO@n=1;"        # fails the daemon's first cache write
         "protocol.send:raise=ConnectionResetError@n=2"  # per-process disconnect
     )
     monkeypatch.setenv("REPRO_FAULTS", plan)
@@ -94,9 +94,11 @@ def test_service_chaos_certification(make_daemon, tmp_path, monkeypatch):
     assert codes.count(-signal.SIGKILL) == 1, codes
     assert codes.count(0) == 1, codes
     assert (state / "worker.execute.0.fired").exists()
-    # Test-process evidence: the torn cache write and the injected client
-    # disconnect both fired here, and the client retried through the latter.
-    assert metrics.counter("resilience.faults.cache.put.torn") == 1
+    # Test-process evidence: the failed cache write (served from the
+    # daemon's uncached results) and the injected client disconnect both
+    # fired here, and the client retried through the latter.
+    assert metrics.counter("resilience.faults.cache.put") == 1
+    assert metrics.counter("service.uncached_results") == 1
     assert metrics.counter("resilience.faults.protocol.send") >= 1
     assert metrics.counter("resilience.retries") >= 1
     # The daemon's own health endpoint saw the same counters.

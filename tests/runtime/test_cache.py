@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import json
+import builtins
+import io
 import os
 import sys
 import threading
@@ -14,7 +15,8 @@ import repro
 from repro.noise.sampling import SamplingResult
 from repro.runtime import ResultCache, decode_result, encode_result
 from repro.runtime.cache import CACHE_DIR_ENV, CACHE_MAX_BYTES_ENV, MISS
-from repro.utils.serialization import SerializationError
+from repro.runtime.results import pack, read_header, unpack
+from repro.utils.serialization import SerializationError, canonical_json
 
 
 @pytest.fixture
@@ -129,7 +131,7 @@ class TestStore:
         for i in range(3):
             small.put(key_of(i), big)
             os.utime(
-                small._paths(key_of(i))[0], (1_000_000 + i, 1_000_000 + i)
+                small._path(key_of(i)), (1_000_000 + i, 1_000_000 + i)
             )  # deterministic recency order: 0 oldest
         # Touch entry 0 so entry 1 becomes the LRU victim.
         assert small.get(key_of(0)) is not MISS
@@ -182,70 +184,143 @@ class TestStore:
         assert cache.directory.exists() and cache.stats()["entries"] == 0
         assert cache.clear() == 0
 
-    def test_torn_entry_is_a_miss(self, cache):
-        cache.put(key_of(1), np.zeros(8))
-        sidecar, npz = cache._paths(key_of(1))
-        npz.unlink()
-        assert cache.get(key_of(1)) is MISS
-
-    def test_corrupt_sidecar_is_a_miss(self, cache):
+    def test_corrupt_entry_is_a_miss(self, cache):
         cache.put(key_of(1), 1.0)
-        sidecar, _ = cache._paths(key_of(1))
-        sidecar.write_text("{not json")
+        cache._path(key_of(1)).write_text("{not an entry")
         assert cache.get(key_of(1)) is MISS
 
-    def test_atomic_sidecar_format(self, cache):
+    def test_entry_header_format(self, cache):
         cache.put(key_of(1), 2.5, label="x")
-        sidecar, _ = cache._paths(key_of(1))
-        payload = json.loads(sidecar.read_text())
-        assert payload["key"] == key_of(1)
-        assert payload["result"] == {"kind": "scalar", "value": 2.5}
-        assert payload["label"] == "x" and not payload["has_arrays"]
+        path = cache._path(key_of(1))
+        assert [p.name for p in path.parent.iterdir()] == [f"{key_of(1)}.entry"]
+        header = read_header(path)
+        assert header["key"] == key_of(1)
+        assert header["result"] == {"kind": "scalar", "value": 2.5}
+        assert header["label"] == "x" and header["arrays"] == []
+        assert header["created"] <= path.stat().st_mtime
+
+    def test_served_arrays_are_writable(self, cache):
+        cache.put(key_of(1), np.arange(4.0))
+        cache.put(key_of(2), repro.Statevector(1, 2))
+        array = cache.get(key_of(1))
+        array[0] = 7.0
+        assert array.tolist() == [7.0, 1.0, 2.0, 3.0]
+        assert cache.get(key_of(2)).data.flags.writeable
+
+    def test_stats_opens_no_entry(self, cache, monkeypatch):
+        for i in range(3):
+            cache.put(key_of(i), np.full(4 + i, float(i)), label=f"p{i}")
+        opened = []
+        real_open = builtins.open
+
+        def spy(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        monkeypatch.setattr(io, "open", spy)
+        stats = cache.stats()
+        assert not [name for name in opened if name.endswith(".entry")]
+        entries = cache.entries()  # the listing reads each header
+        assert sum(name.endswith(".entry") for name in opened) == 3
+        assert stats["entries"] == len(entries) == 3
+        assert stats["total_bytes"] == sum(e.size_bytes for e in entries)
+
+
+class TestPackedEntry:
+    VALUES = {
+        "none": None,
+        "statevector": repro.Statevector(np.exp(1j * np.arange(8)) / np.sqrt(8)),
+        "density_matrix": repro.DensityMatrix(repro.Statevector(3, 2)),
+        "complex128": np.linspace(0, 1, 6).reshape(2, 3) * (1 + 2j),
+        "complex64": (np.arange(5) * (1 - 1j)).astype(np.complex64),
+        "0-d": np.array(2.5),
+        "empty": np.zeros((0, 3)),
+        "fortran": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+        "non-contiguous": np.arange(20.0)[::3],
+        "big-endian": np.arange(4, dtype=">i8"),
+        "sampling": SamplingResult(
+            counts={"00": 3, "11": 5}, shots=8, num_qubits=2, metadata={"seed": 1}
+        ),
+        "float": 1.5,
+        "int": 42,
+        "bool": True,
+        "str": "tag",
+        "complex": 1 + 2j,
+        "json": {"curve": [[1, 0.5], [2, 0.25]]},
+    }
+
+    @pytest.mark.parametrize("name", list(VALUES))
+    def test_every_kind_round_trips_bit_identically(self, name):
+        value = self.VALUES[name]
+        meta, arrays = encode_result(value)
+        header, back = unpack(pack(meta, arrays, key="k"))
+        assert header["key"] == "k"
+        assert canonical_json(header["result"]) == canonical_json(meta)
+        assert back.keys() == arrays.keys()
+        for field, array in arrays.items():
+            array = np.asarray(array)
+            assert back[field].dtype == array.dtype
+            assert back[field].shape == array.shape
+            assert back[field].tobytes() == array.tobytes()
+            assert back[field].flags.writeable
+        again = encode_result(decode_result(header["result"], back))
+        assert canonical_json(again[0]) == canonical_json(meta)
+
+    def test_resource_estimate_round_trips(self):
+        problem = repro.SimulationProblem.from_labels(4, {"nsdI": 0.8}, time=0.2)
+        estimate = repro.compile(problem, "direct").run(backend="resource")
+        header, arrays = unpack(pack(*encode_result(estimate)))
+        assert decode_result(header["result"], arrays).as_dict() == estimate.as_dict()
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"[1, 2]",
+            b'{"arrays": []}',
+            b'{"result": {}, "arrays": 3}',
+            b'{"result": {}, "arrays": [["a", "<08", [1]]]}',
+            b'{"result": {}, "arrays": [["a", "<f8", [-1]]]}',
+            b'{"result": {}, "arrays": [["a", "<f8", "ab"]]}',
+            b'{"result": {}, "arrays": [["a", "<f8"]]}',
+            b"\xff\xfe{",
+        ],
+    )
+    def test_malformed_header_raises_value_error(self, header):
+        with pytest.raises(ValueError):
+            unpack(len(header).to_bytes(8, "little") + header + b"\0" * 8)
+
+    def test_object_dtype_is_refused(self, cache):
+        objects = np.array([1, None], dtype=object)
+        with pytest.raises(SerializationError):
+            encode_result(objects)
+        with pytest.raises(ValueError, match="object"):
+            pack({"kind": "ndarray"}, {"data": objects})
+        # A stored header that claims an object dtype never unpacks.
+        forged = pack({"kind": "ndarray"}, {"data": np.zeros(2, dtype=np.int64)})
+        forged = forged.replace(b'"<i8"', b'"|O8"')
+        with pytest.raises(ValueError):
+            unpack(forged)
+        cache._path(key_of(1)).parent.mkdir(parents=True)
+        cache._path(key_of(1)).write_bytes(forged)
+        assert cache.get(key_of(1)) is MISS
 
 
 class TestRemovalHygiene:
-    def test_remove_unlinks_npz_before_sidecar(self, cache, monkeypatch):
-        # If removal dies between the two unlinks, the survivor must be the
-        # sidecar (a clean miss), never a keyless orphan npz.
-        cache.put(key_of(1), np.zeros(8))
-        sidecar, npz = cache._paths(key_of(1))
-        order = []
-        original = type(npz).unlink
-
-        def spy(self, *args, **kwargs):
-            order.append(self.suffix)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(type(npz), "unlink", spy)
-        cache._remove(sidecar)
-        assert order == [".npz", ".json"]
-        assert not npz.exists() and not sidecar.exists()
-
-    def test_clear_sweeps_orphan_npz_that_stats_leaves(self, cache):
-        cache.put(key_of(1), np.zeros(8))
-        sidecar, npz = cache._paths(key_of(1))
-        sidecar.unlink()  # simulate a crash that left a keyless npz behind
-        stats = cache.stats()
-        assert stats["entries"] == 0 and stats["total_bytes"] == 0
-        assert npz.exists()  # stats is read-only
-        assert cache.clear() == 1
-        assert not npz.exists()
-
-    def test_stats_leaves_paired_entries_alone(self, cache):
+    def test_stats_leaves_entries_alone(self, cache):
         cache.put(key_of(1), np.zeros(8))
         before = sorted(cache.directory.rglob("*"))
         assert cache.stats()["entries"] == 1
         assert sorted(cache.directory.rglob("*")) == before
         assert key_of(1) in cache
 
-    def test_clear_counts_orphans(self, cache):
+    def test_clear_removes_dead_writers_temp_files(self, cache):
         cache.put(key_of(1), np.zeros(8))
-        cache.put(key_of(2), np.ones(8))
-        sidecar, _ = cache._paths(key_of(2))
-        sidecar.unlink()
-        assert cache.clear() == 2  # one live entry + one orphan npz
-        assert cache.stats()["entries"] == 0
-        assert not list(cache.directory.glob("*.npz"))
+        shard = cache._path(key_of(1)).parent
+        (shard / f"{key_of(2)}.entry.999999.1.tmp").write_bytes(b"partial")
+        assert cache.stats()["entries"] == 1
+        assert cache.clear() == 1  # temp files are not entries
+        assert all(path.is_dir() for path in cache.directory.rglob("*"))
 
 
 class TestConcurrentWriters:

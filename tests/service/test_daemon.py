@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import base64
 import sys
 import threading
 import time
 
 import pytest
 
+from repro.resilience import configure_faults
 from repro.runtime import RunSpec, SweepSpec
 from repro.runtime.executor import execute_spec
 from repro.service import jobs as J
 from repro.service.daemon import Daemon
 from repro.service.jobs import JobStore
-from repro.service.protocol import decode_arrays, outcome_to_wire
+from repro.service.protocol import outcome_from_wire, outcome_to_wire
 
 from _service_helpers import make_problem, wait_until
 
@@ -60,7 +62,8 @@ class TestSubmitAndExecute:
         result = daemon.handle({"op": "result", "job_id": ack["job_id"]})
         assert result["ok"] and len(result["outcomes"]) == 1
         assert result["outcomes"][0]["ok"]
-        assert result["outcomes"][0]["result"]["kind"] == "resource_estimate"
+        outcome = outcome_from_wire(result["outcomes"][0])
+        assert outcome["result"]["kind"] == "resource_estimate"
 
     def test_sweep_points_land_in_grid_order(self, make_daemon):
         daemon = make_daemon(local_workers=2, chunk_size=2)
@@ -154,6 +157,36 @@ class TestDedupAndCache:
         assert resubmit["deduped"] and resubmit["state"] == "done"
         outcomes = second.handle({"op": "result", "job_id": ack["job_id"]})["outcomes"]
         assert all(o["ok"] for o in outcomes)
+
+    def test_result_sends_stored_entries_and_degrades_per_point(self, service_env):
+        daemon = Daemon(local_workers=0, chunk_size=4)  # driven in-process
+        spec = sweep_spec(backend="statevector", run_kwargs={}, seed=None)
+        ack = submit(daemon, spec)
+        configure_faults("cache.put:raise=EIO@n=1")  # the first point stays uncached
+        try:
+            claim_and_complete(daemon)
+        finally:
+            configure_faults(None)
+        points = daemon._jobs[ack["job_id"]].points
+        assert points[0].key not in daemon.cache
+        damaged = daemon.cache._path(points[1].key)
+        damaged.write_bytes(damaged.read_bytes()[:-1])
+        hits, misses = daemon.cache.hits, daemon.cache.misses
+
+        outcomes = daemon.handle({"op": "result", "job_id": ack["job_id"]})["outcomes"]
+        # The damaged entry fails its own point only; the uncached point is
+        # served from the daemon's in-memory copy.
+        assert [o["ok"] for o in outcomes] == [True, False, True, True]
+        assert outcomes[1]["error"]["type"] == "CacheMissError"
+        assert (daemon.cache.hits - hits, daemon.cache.misses - misses) == (2, 2)
+        for index in (2, 3):  # the wire carries the stored bytes as they are
+            stored = daemon.cache._path(points[index].key).read_bytes()
+            assert base64.b64decode(outcomes[index]["entry"]) == stored
+        for index in (0, 2, 3):
+            reference = execute_spec(points[index].payload)["arrays"]["data"]
+            served = outcome_from_wire(outcomes[index])["arrays"]["data"]
+            assert served.dtype == reference.dtype and served.shape == reference.shape
+            assert served.tobytes() == reference.tobytes()
 
 
 class TestCancellation:
@@ -355,10 +388,11 @@ class TestJournal:
         assert status["succeeded"] == 8
         assert daemon.handle({"op": "stats"})["points"]["executed"] == executed
         outcomes = daemon.handle({"op": "result", "job_id": job_id})["outcomes"]
-        for outcome, point in zip(outcomes, daemon._jobs[job_id].points):
+        for wire, point in zip(outcomes, daemon._jobs[job_id].points):
             reference = execute_spec(point.payload)
+            outcome = outcome_from_wire(wire)
             assert outcome["ok"] and outcome["result"] == reference["result"]
-            arrays = decode_arrays(outcome["arrays"])
+            arrays = outcome["arrays"]
             assert arrays.keys() == reference["arrays"].keys()
             for name, array in reference["arrays"].items():
                 assert arrays[name].tobytes() == array.tobytes()

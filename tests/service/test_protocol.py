@@ -1,8 +1,9 @@
-"""Wire protocol: frames, the array codec and outcome round-trips."""
+"""Wire protocol: frames, the entry codec and outcome round-trips."""
 
 from __future__ import annotations
 
 import io
+import json
 import socket
 
 import numpy as np
@@ -11,10 +12,8 @@ import pytest
 from repro.service.protocol import (
     ServiceConnectionError,
     ServiceError,
-    decode_arrays,
     default_service_dir,
     default_socket_path,
-    encode_arrays,
     outcome_from_wire,
     outcome_to_wire,
     recv_frame,
@@ -58,11 +57,13 @@ class TestArrayCodec:
             "counts": np.array([1, 2, 3], dtype=np.int64),
             "empty": np.zeros((0, 2)),
         }
-        decoded = decode_arrays(encode_arrays(arrays))
+        outcome = {"ok": True, "result": {"kind": "ndarray"}, "arrays": arrays}
+        decoded = outcome_from_wire(outcome_to_wire(outcome))["arrays"]
         assert set(decoded) == set(arrays)
         for name in arrays:
             assert decoded[name].dtype == arrays[name].dtype
-            np.testing.assert_array_equal(decoded[name], arrays[name])
+            assert decoded[name].shape == arrays[name].shape
+            assert decoded[name].tobytes() == arrays[name].tobytes()
 
     def test_outcome_round_trip(self):
         outcome = {
@@ -72,10 +73,12 @@ class TestArrayCodec:
             "wall_time": 0.25,
         }
         wire = outcome_to_wire(outcome)
-        assert isinstance(wire["arrays"]["data"], str)  # JSON-safe
+        assert isinstance(wire["entry"], str) and "arrays" not in wire
+        assert json.loads(json.dumps(wire)) == wire  # JSON-safe
         back = outcome_from_wire(wire)
-        np.testing.assert_array_equal(back["arrays"]["data"], outcome["arrays"]["data"])
-        assert back["result"] == outcome["result"]
+        assert back["arrays"]["data"].tobytes() == outcome["arrays"]["data"].tobytes()
+        assert back["arrays"]["data"].flags.writeable
+        assert back["result"] == outcome["result"] and back["wall_time"] == 0.25
 
     def test_failure_outcome_passes_through(self):
         outcome = {"ok": False, "error": {"type": "X", "message": "m"}, "wall_time": 0.1}

@@ -185,7 +185,7 @@ class TestSocketTransport:
         assert [op for op, _ in requests] == ["claim", "complete", "claim"]
         assert all(fields["worker"] == "w1" for _, fields in requests)
         [wire] = requests[1][1]["outcomes"]
-        assert isinstance(wire["arrays"]["data"], str)  # base64 .npy on the wire
+        assert isinstance(wire["entry"], str)  # one base64 packed entry on the wire
         reference = execute_spec(payloads[0])
         assert np.array_equal(
             outcome_from_wire(wire)["arrays"]["data"], reference["arrays"]["data"]
