@@ -5,13 +5,16 @@ two-body transition fragments — the Hamiltonian family of the paper's
 Annex-C study), each swept through a :class:`repro.runtime.Session`:
 
 1. **The statevector grid** (2 strategies × 8 step counts = 16 distinct
-   compiles) — run cold serial, cold through the 4-worker pool, and warm
+   programs) — run cold serial, cold through the 4-worker pool, and warm
    against the serial run's cache.  The cached replay must be ≥ 10× the cold
    run and agree with fresh recomputation to 1e-12.  The grid's points share
-   nothing, so its pool speedup (``grid_parallel_speedup``) is pure process
-   parallelism: it is asserted ≥ 2× only on a ≥ 4-core runner (the CI
-   ``bench-parallel`` job), and recorded either way together with the
-   measured machine's core count.
+   no result and no plan; what they do share is each strategy's Trotter
+   step, which every process builds once (:mod:`repro.compile.steps`) and
+   each point only binds and replays.  So the pool speedup
+   (``grid_parallel_speedup``) is process parallelism over cheap points: it
+   is asserted ≥ 2× only on a ≥ 4-core runner (the CI ``bench-parallel``
+   job), and recorded either way together with the measured machine's core
+   count.
 
 2. **The statistical workload** (2 strategies × 12 seeded repeats of a
    sampling run, 4096 shots) — the shape the paper's noisy studies actually
@@ -82,7 +85,7 @@ def annex_c_problem() -> "repro.SimulationProblem":
 
 
 def annex_c_sweep(steps: "tuple[int, ...]" = STEPS) -> SweepSpec:
-    """Strategy × steps statevector grid (every point a distinct compile)."""
+    """Strategy × steps statevector grid (every point a distinct program)."""
     return SweepSpec(
         problem=annex_c_problem(),
         strategies=STRATEGIES,

@@ -9,15 +9,18 @@ exercise the phase-separator machinery on problems with realistic structure.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.applications.hubo.problem import HUBOProblem
 from repro.exceptions import ProblemError
 
+if TYPE_CHECKING:  # pragma: no cover - the caller brings its own graph
+    import networkx as nx
 
-def maxcut_problem(graph: nx.Graph) -> HUBOProblem:
+
+def maxcut_problem(graph: "nx.Graph") -> HUBOProblem:
     """Weighted max-cut of an ordinary graph as a spin HUBO (order 2).
 
     Cut value ``Σ_{(i,j)} w_ij (1 - z_i z_j)/2``; minimising

@@ -115,14 +115,16 @@ class QuantumCircuit:
         """Return a new circuit implementing the inverse unitary.
 
         The qubits were validated when each instruction was appended, so the
-        inverted instructions are built from them directly.
+        inverted instructions are built from them directly; a self-inverse
+        gate's (immutable) instruction is reused as it is.
         """
         out = QuantumCircuit(self.num_qubits, f"{self.name}_dg")
         out.global_phase = -self.global_phase
-        out._instructions = [
-            Instruction(instr.gate.inverse(), instr.qubits)
-            for instr in reversed(self._instructions)
-        ]
+        for instr in reversed(self._instructions):
+            inverse = instr.gate.inverse()
+            if inverse is not instr.gate:
+                instr = Instruction(inverse, instr.qubits)
+            out._instructions.append(instr)
         return out
 
     def power(self, repetitions: int) -> "QuantumCircuit":

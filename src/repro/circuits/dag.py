@@ -9,11 +9,13 @@ parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import Instruction
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is only needed to build graphs
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -52,13 +54,16 @@ def circuit_layers(circuit: QuantumCircuit, *, min_qubits: int = 1) -> CircuitLa
     return CircuitLayers(layers)
 
 
-def circuit_dependency_graph(circuit: QuantumCircuit) -> nx.DiGraph:
+def circuit_dependency_graph(circuit: QuantumCircuit) -> "nx.DiGraph":
     """Directed dependency graph between instructions.
 
     Node ``i`` is the i-th instruction; an edge ``i -> j`` means instruction
     ``j`` must execute after ``i`` because they share a qubit and ``j`` comes
     later in program order (only the immediate predecessor per qubit is kept).
+    Needs networkx, which is imported here rather than with the package.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     last_on_qubit: dict[int, int] = {}
     for idx, instr in enumerate(circuit):
@@ -71,8 +76,9 @@ def circuit_dependency_graph(circuit: QuantumCircuit) -> nx.DiGraph:
 
 
 def critical_path_length(circuit: QuantumCircuit) -> int:
-    """Length (in gates) of the longest dependency chain; equals the depth."""
-    graph = circuit_dependency_graph(circuit)
-    if graph.number_of_nodes() == 0:
-        return 0
-    return nx.dag_longest_path_length(graph) + 1
+    """Length (in gates) of the longest dependency chain; equals the depth.
+
+    Every dependency edge joins consecutive gates on one qubit, so the longest
+    chain has one gate per ASAP layer.
+    """
+    return circuit_layers(circuit).depth

@@ -97,7 +97,7 @@ class StandardGate(Gate):
         if self.name in _INVERSE_PAIRS:
             return StandardGate(_INVERSE_PAIRS[self.name], ())
         if self.name in _SELF_INVERSE:
-            return StandardGate(self.name, ())
+            return self  # parameterless and never mutated, so safe to share
         if self.name == "u":
             theta, phi, lam = self.params
             return StandardGate("u", (-theta, -lam, -phi))

@@ -15,6 +15,19 @@ entries:
 * everything else — fused ``MatrixGate`` blocks included — is one
   :func:`apply_matrix` ``np.tensordot`` over the target axes.
 
+:func:`lower_items` turns a circuit (or a fragment
+:class:`~repro.circuits.skeleton.Skeleton`'s items) into these ops and
+composes each run of adjacent gathers into one table: gathering through
+``a`` and then ``b`` is gathering through ``a[b]``, which moves the same
+amplitudes and so gives the same bytes.  Gathers never merge across a
+diagonal or dense op.  :func:`lower_step` does the same for a whole
+product-formula step built from skeletons, once per Hamiltonian, keeping a
+slot op wherever an angle depends on the time; :func:`bind_ops` fills those
+in per time (see :mod:`repro.compile.steps`).
+:class:`~repro.circuits.density_matrix.DensityMatrix` lowers gate by gate
+instead, because its noise channels act after every gate and so its gates
+must never merge.
+
 :func:`apply_matrix` stays the dense reference the structured paths are
 property-tested against, and the one :func:`~repro.circuits.unitary.circuit_unitary`
 uses.  An optional trailing batch axis lets the same kernels evolve many
@@ -25,14 +38,16 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Sequence
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gate import ControlledGate, Gate, StandardGate
-from repro.circuits.standard_gates import DIAGONAL_GATES
+from repro.circuits.skeleton import Item, Slot
+from repro.circuits.standard_gates import DIAGONAL_GATES, standard_gate_matrix
 from repro.exceptions import SimulationError
 from repro.utils.bits import int_to_bits, int_to_bitstring
 
@@ -168,18 +183,155 @@ def _lower_gate(gate: Gate, qubits: tuple[int, ...], num_qubits: int) -> _GateOp
     if name in _PERMUTATION_BASES:
         table = _TABLES.get((num_qubits, tuple(qubits), name, ctrl_state))
         return _GateOp(_GATHER, (), (), table)
+    kind, targets, controls, order = _placement(name, qubits, num_ctrl, ctrl_state)
+    return _GateOp(kind, targets, controls, _op_data(kind, gate.matrix(), order))
+
+
+def _placement(name, qubits, num_ctrl: int, ctrl_state: int):
+    """``(kind, targets, controls, order)`` of a diagonal or dense base gate.
+
+    A diagonal's targets are sorted into ascending axis order; ``order`` is
+    the permutation its phase tensor needs for that (``None`` for one target).
+    """
     controls = ()
     if num_ctrl:
         controls = tuple(zip(qubits[:num_ctrl], int_to_bits(ctrl_state, num_ctrl)))
     targets = tuple(qubits[num_ctrl:])
-    if name in DIAGONAL_GATES:
-        phases = gate.matrix().diagonal().reshape((2,) * len(targets))
-        if len(targets) > 1:  # gate qubit order -> ascending axis order
-            order = sorted(range(len(targets)), key=targets.__getitem__)
-            phases = phases.transpose(order)
-            targets = tuple(targets[i] for i in order)
-        return _GateOp(_DIAGONAL, targets, controls, phases)
-    return _GateOp(_DENSE, targets, controls, gate.matrix())
+    if name not in DIAGONAL_GATES:
+        return _DENSE, targets, controls, None
+    order = None
+    if len(targets) > 1:  # gate qubit order -> ascending axis order
+        order = sorted(range(len(targets)), key=targets.__getitem__)
+        targets = tuple(targets[i] for i in order)
+    return _DIAGONAL, targets, controls, order
+
+
+def _op_data(kind: int, matrix: np.ndarray, order) -> np.ndarray:
+    """A lowered op's data: the base matrix, or its diagonal as a phase tensor."""
+    if kind == _DENSE:
+        return matrix
+    phases = matrix.diagonal().reshape((2,) * (matrix.shape[0].bit_length() - 1))
+    return phases if order is None else phases.transpose(order)
+
+
+class _SlotOp(NamedTuple):
+    """A lowered :class:`~repro.circuits.skeleton.Slot`: placed, data unbound."""
+
+    kind: int  # _DIAGONAL or _DENSE
+    targets: tuple[int, ...]
+    controls: tuple[tuple[int, int], ...]
+    order: "list[int] | None"
+    slot: Slot
+
+    def bind(self, time: float) -> _GateOp:
+        """The op of the slot's gate at ``time``, as :func:`_lower_gate` makes it."""
+        params = tuple(float(p) for p in self.slot.params(time))
+        data = _op_data(self.kind, standard_gate_matrix(self.slot.name, params), self.order)
+        return _GateOp(self.kind, self.targets, self.controls, data)
+
+
+def _lower_slot(slot: Slot, num_qubits: int) -> _SlotOp:
+    if slot.name in _CONTROLLED_STANDARD or slot.name in _PERMUTATION_BASES:
+        raise SimulationError(f"a slot cannot hold the permutation gate {slot.name!r}")
+    kind, targets, controls, order = _placement(
+        slot.name, slot.qubits, slot.num_ctrl, slot.ctrl_state
+    )
+    return _SlotOp(kind, targets, controls, order, slot)
+
+
+def lower_items(items: Iterable[Item], num_qubits: int, memo: "dict | None" = None) -> Iterator:
+    """Yield the structured ops of ``items`` (instructions and slots), in order.
+
+    Each run of adjacent gathers is composed into one index table; a lone
+    gather keeps its shared read-only table.  Lazy, so a consumer that
+    applies each op as it comes holds one composed table at a time.
+    ``memo`` shares the op of each parameterless standard gate, keyed on its
+    name and qubits, across calls that pass the same dict.
+    """
+    table = None
+    for item in items:
+        if isinstance(item, Slot):
+            op = _lower_slot(item, num_qubits)
+        elif memo is not None and type(item.gate) is StandardGate and not item.gate.params:
+            key = (item.gate.name, item.qubits)
+            op = memo.get(key)
+            if op is None:
+                op = memo[key] = _lower_gate(item.gate, item.qubits, num_qubits)
+        else:
+            op = _lower_gate(item.gate, item.qubits, num_qubits)
+        if op.kind == _GATHER:
+            table = op.data if table is None else table[op.data]
+            continue
+        if table is not None:
+            yield _GateOp(_GATHER, (), (), table)
+            table = None
+        yield op
+    if table is not None:
+        yield _GateOp(_GATHER, (), (), table)
+
+
+def lower_step(
+    fragments: Sequence[Sequence[Item]],
+    visits: Sequence[int],
+    num_qubits: int,
+    max_bytes: int,
+) -> "tuple[list, int] | None":
+    """The ops of a step that visits ``fragments[i]`` for each ``i`` of ``visits``.
+
+    Each distinct fragment is lowered once and kept only until its last
+    visit.  The gathers that meet at a fragment boundary are composed into
+    one read-only table, once per distinct run, so a product formula that
+    repeats a boundary (the Suzuki sub-steps) shares its table.  Returns the
+    ops and the bytes of their tables, or ``None`` as soon as those would
+    pass ``max_bytes``.
+    """
+    remaining = Counter(visits)
+    memo: dict = {}
+    lowered: dict[int, list] = {}
+    runs: dict[tuple, np.ndarray] = {}  # (fragment, position) of each gather -> table
+    ops: list = []
+    run: list = []
+    nbytes = 0
+
+    def flush() -> None:
+        nonlocal nbytes
+        key = tuple(position for position, _ in run)
+        table = runs.get(key)
+        if table is None:
+            table = run[0][1]
+            for _, data in run[1:]:
+                table = table[data]
+            table.setflags(write=False)
+            runs[key] = table
+            nbytes += table.nbytes
+        ops.append(_GateOp(_GATHER, (), (), table))
+        run.clear()
+
+    for index in visits:
+        piece = lowered.get(index)
+        if piece is None:
+            piece = lowered[index] = list(lower_items(fragments[index], num_qubits, memo))
+        for position, op in enumerate(piece):
+            if op.kind == _GATHER:
+                run.append(((index, position), op.data))
+                continue
+            if run:
+                flush()
+            ops.append(op)
+        remaining[index] -= 1
+        if not remaining[index]:
+            del lowered[index]
+        if nbytes > max_bytes:
+            return None
+    if run:
+        flush()
+    return (ops, nbytes) if nbytes <= max_bytes else None
+
+
+def bind_ops(template: Iterable, times: Iterable[float]) -> list:
+    """``template``'s ops with each slot op bound at the next of ``times``."""
+    times = iter(times)
+    return [op.bind(next(times)) if isinstance(op, _SlotOp) else op for op in template]
 
 
 def _apply_op(
@@ -222,11 +374,16 @@ def _apply_op(
     return tensor
 
 
+def _apply_ops(tensor: np.ndarray, ops: Iterable, num_qubits: int) -> np.ndarray:
+    """Apply lowered ops in order to a private state tensor (register at axis 0)."""
+    for op in ops:
+        tensor = _apply_op(tensor, op, num_qubits)
+    return tensor
+
+
 def _evolve_tensor(tensor: np.ndarray, circuit: QuantumCircuit, num_qubits: int) -> np.ndarray:
     """Run ``circuit`` on a private state tensor (register at axis 0)."""
-    for instr in circuit:
-        tensor = _apply_op(tensor, _lower_gate(instr.gate, instr.qubits, num_qubits), num_qubits)
-    return tensor
+    return _apply_ops(tensor, lower_items(circuit, num_qubits), num_qubits)
 
 
 def sample_outcome_counts(
@@ -321,11 +478,22 @@ class Statevector:
             raise SimulationError(
                 f"circuit acts on {circuit.num_qubits} qubits, state has {self.num_qubits}"
             )
+        return self.replay(
+            lower_items(circuit, self.num_qubits), global_phase=circuit.global_phase
+        )
+
+    def replay(
+        self, ops: Iterable, *, repeat: int = 1, global_phase: float = 0.0
+    ) -> "Statevector":
+        """Return the state after ``repeat`` passes of pre-lowered ops, then
+        ``e^{i·global_phase}`` (see :func:`lower_items`)."""
         n = self.num_qubits
         tensor = self._vec.reshape((2,) * n if n else (1,)).copy()
-        vec = _evolve_tensor(tensor, circuit, n).reshape(-1)
-        if circuit.global_phase:
-            vec = vec * np.exp(1j * circuit.global_phase)
+        for _ in range(repeat):
+            tensor = _apply_ops(tensor, ops, n)
+        vec = tensor.reshape(-1)
+        if global_phase:
+            vec = vec * np.exp(1j * global_phase)
         return Statevector(vec)
 
     def evolve_matrix(self, matrix: np.ndarray, qubits: Sequence[int]) -> "Statevector":

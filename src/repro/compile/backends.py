@@ -5,10 +5,12 @@ the built-ins cover the ways the seed's examples and benchmarks consumed
 circuits, plus the scaling/oracle pair added with the gate-fusion fast path:
 
 ========================  ====================================================
-``"statevector"``         evolve an initial state through the (fused)
-                          execution circuit, each gate by its structure:
-                          a gather, a diagonal multiply, a control-slice
-                          update, or one dense tensordot
+``"statevector"``         evolve an initial state gate by gate, each gate by
+                          its structure: a gather (adjacent gathers composed
+                          into one), a diagonal multiply, a control-slice
+                          update, or one dense tensordot.  A ``direct`` or
+                          ``pauli`` program replays its cached Trotter step
+                          with ``dt`` bound and never builds its circuit
 ``"kernel"``              matrix-free Trotter evolution through the cached
                           mask plan (:mod:`repro.circuits.pauli_kernels`) —
                           no circuit executed; falls back to ``statevector``
@@ -30,9 +32,13 @@ circuits, plus the scaling/oracle pair added with the gate-fusion fast path:
 ========================  ====================================================
 
 ``statevector`` and ``sparse`` honour ``CompileOptions.optimize_level`` by
-running :attr:`~repro.compile.program.CompiledProgram.execution_circuit`;
-``exact`` is the oracle the cross-backend differential tests check every
-strategy × backend combination against.
+running :attr:`~repro.compile.program.CompiledProgram.execution_circuit`,
+except that ``statevector`` runs a ``direct``/``pauli`` program at level 0
+from :meth:`~repro.compile.program.CompiledProgram.bound_step`: each
+Trotter step is lowered once per Hamiltonian (:mod:`repro.compile.steps`)
+and a point only binds its angles, with the same bytes as running the
+circuit.  ``exact`` is the oracle the cross-backend differential tests check
+every strategy × backend combination against.
 
 Register your own with ``@BACKENDS.register("name")``.
 """
@@ -67,8 +73,10 @@ class Backend(Protocol):
 
 @BACKENDS.register("statevector")
 class StatevectorBackend:
-    """Evolve a statevector through the compiled circuit.
+    """Evolve a statevector through the compiled program.
 
+    A program with a :meth:`~repro.compile.program.CompiledProgram.bound_step`
+    replays it ``steps`` times; any other runs its execution circuit.
     ``initial_state`` may be a :class:`Statevector`, a dense vector, or a
     basis-state index (default ``0``).  Block-encoding programs receive the
     state on the *system* register with ancillas prepended in ``|0…0⟩``.
@@ -86,10 +94,12 @@ class StatevectorBackend:
             raise CompileError(
                 f"unknown statevector-backend arguments: {', '.join(sorted(kwargs))}"
             )
-        circuit = program.execution_circuit
-        n = circuit.num_qubits
-        state = self._coerce(initial_state, n, program)
-        return state.evolve(circuit)
+        step = program.bound_step()
+        if step is None:
+            circuit = program.execution_circuit
+            return self._coerce(initial_state, circuit.num_qubits, program).evolve(circuit)
+        state = self._coerce(initial_state, program.problem.num_qubits, program)
+        return state.replay(step.ops, repeat=step.steps, global_phase=step.global_phase)
 
     @staticmethod
     def _coerce(initial_state, num_qubits: int, program: "CompiledProgram") -> Statevector:

@@ -3,7 +3,10 @@
 A :class:`CompiledProgram` is what :func:`repro.compile.compile` returns.  It
 is lazy — the circuit is built on first access and cached, the dense unitary
 is memoized — so cheap queries (analytic resource estimates, metadata) never
-pay for circuit construction.
+pay for circuit construction.  A ``direct``/``pauli`` program at
+``optimize_level=0`` runs on the ``statevector`` backend without building its
+circuit at all: :meth:`CompiledProgram.bound_step` binds ``dt`` into the
+Hamiltonian's cached, pre-lowered Trotter step (:mod:`repro.compile.steps`).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.telemetry import span
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compile.plan import EvolutionPlan
     from repro.compile.problem import SimulationProblem
+    from repro.compile.steps import BoundStep
     from repro.compile.strategies import ResourceEstimate, Strategy
 
 
@@ -48,6 +52,8 @@ class CompiledProgram:
     _execution_circuit: QuantumCircuit | None = field(default=None, repr=False)
     _evolution_plan: "EvolutionPlan | None" = field(default=None, repr=False)
     _plan_unavailable: bool = field(default=False, repr=False)
+    _bound_step: "BoundStep | None" = field(default=None, repr=False)
+    _bind_unavailable: bool = field(default=False, repr=False)
     _sparse_operators: tuple | None = field(default=None, repr=False)
     _unitary: np.ndarray | None = field(default=None, repr=False)
     _matrix: np.ndarray | None = field(default=None, repr=False)
@@ -125,6 +131,32 @@ class CompiledProgram:
                 ),
             )
         return self._execution_circuit
+
+    def bound_step(self) -> "BoundStep | None":
+        """One Trotter step's structured ops with ``dt`` bound, or ``None``.
+
+        Built once per program (like :attr:`execution_circuit`) by binding
+        the problem's time slice into the Hamiltonian's cached step
+        (:func:`~repro.compile.steps.bind_step`); the ``statevector`` backend
+        replays it ``steps`` times.  The ``bind`` build phase covers the
+        cache lookup, a first build and lowering, and the binding.  ``None``
+        — run the execution circuit — for strategies other than the built-in
+        ``direct``/``pauli``, for fused programs (``optimize_level >= 1``)
+        and for a step too large for the cache.
+        """
+        if self._bound_step is None and not self._bind_unavailable:
+            from repro.compile.steps import bind_step
+            from repro.compile.strategies import DirectStrategy, PauliStrategy
+
+            if self.problem.options.optimize_level == 0 and type(self.strategy) in (
+                DirectStrategy,
+                PauliStrategy,
+            ):
+                self._bound_step = self._timed_build(
+                    "bind", lambda: bind_step(self.problem, self.strategy_name)
+                )
+            self._bind_unavailable = self._bound_step is None
+        return self._bound_step
 
     def evolution_plan(self) -> "EvolutionPlan | None":
         """Cached mask-rotation plan of the Trotter schedule, or ``None``.

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compile.registry import Registry
+from repro.compile.steps import step_fragments
 from repro.core.block_encoding import hamiltonian_block_encoding
 from repro.core.families import analyze_term
 from repro.core.mpf import multi_product_formula
@@ -33,11 +34,7 @@ from repro.core.resource import (
     direct_term_resources,
     rzn_two_qubit_count,
 )
-from repro.core.trotter import (
-    direct_fragments,
-    pauli_fragments,
-    trotter_circuit,
-)
+from repro.core.trotter import direct_fragments, trotter_circuit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from repro.compile.problem import SimulationProblem
@@ -106,11 +103,8 @@ class DirectStrategy:
     kind = "evolution"
 
     def build(self, problem: "SimulationProblem") -> QuantumCircuit:
-        fragments = direct_fragments(
-            problem.hamiltonian, problem.options.evolution_options()
-        )
         return trotter_circuit(
-            fragments,
+            step_fragments(problem, self.name),
             problem.num_qubits,
             problem.time,
             steps=problem.steps,
@@ -154,13 +148,8 @@ class PauliStrategy:
     kind = "evolution"
 
     def build(self, problem: "SimulationProblem") -> QuantumCircuit:
-        fragments = pauli_fragments(
-            problem.pauli_operator(),
-            problem.num_qubits,
-            problem.options.pauli_options(),
-        )
         return trotter_circuit(
-            fragments,
+            step_fragments(problem, self.name),
             problem.num_qubits,
             problem.time,
             steps=problem.steps,

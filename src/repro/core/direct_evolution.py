@@ -27,12 +27,14 @@ two can be compared.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gate import ControlledGate, StandardGate
+from repro.circuits.gate import Instruction, StandardGate
+from repro.circuits.skeleton import Skeleton, Slot
 from repro.core.basis_change import (
     parity_accumulation,
     pauli_diagonalisation,
@@ -96,6 +98,18 @@ def evolve_fragment(
     options: EvolutionOptions | None = None,
 ) -> QuantumCircuit:
     """Circuit for ``exp(-i t H)`` with ``H`` the gathered Hermitian fragment."""
+    return fragment_skeleton(fragment, options=options).bind(time)
+
+
+def fragment_skeleton(
+    fragment: HermitianFragment, *, options: EvolutionOptions | None = None
+) -> Skeleton:
+    """The time-free circuit of ``exp(-i t H)`` for a gathered Hermitian fragment.
+
+    Only the central rotation's angles (and an identity term's global phase)
+    depend on ``t``; they stay :class:`~repro.circuits.skeleton.Slot`
+    expressions until :meth:`~repro.circuits.skeleton.Skeleton.bind`.
+    """
     options = options or EvolutionOptions()
     structure = analyze_term(fragment.term)
     coeff = complex(fragment.term.coefficient)
@@ -109,14 +123,14 @@ def evolve_fragment(
             raise OperatorError("a Hermitian fragment needs a real coefficient")
 
     if structure.has_transition:
-        return _evolve_transition_fragment(structure, coeff, time, options)
+        return _transition_skeleton(structure, coeff, options)
     # No transition factors: the fragment is γ·Π_k ⊗ PS (γ real); the optional
     # + h.c. simply doubles the coefficient.
     gamma = coeff.real * (2.0 if fragment.include_hc else 1.0)
     if abs(coeff.imag) > 1e-12 and fragment.include_hc:
         # γ A + γ* A = 2 Re(γ) A for Hermitian A.
         gamma = 2.0 * coeff.real
-    return _evolve_diagonal_or_pauli_fragment(structure, gamma, time, options)
+    return _diagonal_or_pauli_skeleton(structure, gamma, options)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +138,10 @@ def evolve_fragment(
 # ---------------------------------------------------------------------------
 
 
-def _evolve_transition_fragment(
-    structure: TermStructure, coeff: complex, time: float, options: EvolutionOptions
-) -> QuantumCircuit:
+def _transition_skeleton(
+    structure: TermStructure, coeff: complex, options: EvolutionOptions
+) -> Skeleton:
     n = structure.num_qubits
-    circuit = QuantumCircuit(n, f"exp(-i·{time:.4g}·H[{structure.term.label}])")
 
     # 1. generalized-Bell basis change on the transition qubits.
     change = transition_basis_change(
@@ -139,53 +152,49 @@ def _evolve_transition_fragment(
         pivot=options.pivot,
     )
     pivot = change.pivot
-    circuit.compose(change.circuit)
 
     # 2. Pauli diagonalisation and parity report.
     diag = pauli_diagonalisation(n, structure.pauli_qubits, structure.pauli_labels)
-    circuit.compose(diag)
-    parity_qubit: int | None = None
     parity = QuantumCircuit(n)
+    sign: tuple[Instruction, ...] = ()
     if structure.has_pauli:
         parity_qubit = structure.pauli_qubits[-1]
         parity = parity_accumulation(
             n, structure.pauli_qubits, parity_qubit, mode=options.parity_mode
         )
-        circuit.compose(parity)
+        sign = (Instruction(StandardGate("cz"), (parity_qubit, pivot)),)
 
     # 3. central (possibly multi-controlled) rotation on the pivot qubit,
     #    sign-controlled by the parity qubit.
     controls, control_bits = structure.controls_for_rotation(pivot)
-    rotation_gates = _central_rotation_gates(structure, coeff, time, pivot, options)
+    ctrl_state = bits_to_int(control_bits) if controls else 0
+    rotations = tuple(
+        Slot(name, tuple(controls) + (pivot,), params, len(controls), ctrl_state)
+        for name, params in _central_rotation_slots(coeff, change.pivot_ket_bit, options)
+    )
 
-    if parity_qubit is not None:
-        circuit.cz(parity_qubit, pivot)
-    for gate, qubits in rotation_gates:
-        if controls:
-            ctrl_state = bits_to_int(control_bits)
-            circuit.append(
-                ControlledGate(gate, len(controls), ctrl_state), tuple(controls) + qubits
-            )
-        else:
-            circuit.append(gate, qubits)
-    if parity_qubit is not None:
-        circuit.cz(parity_qubit, pivot)
-
-    # 4. uncompute.
-    circuit.compose(parity.inverse())
-    circuit.compose(diag.inverse())
-    circuit.compose(change.circuit.inverse())
-    return circuit
+    return Skeleton(
+        n,
+        (
+            *change.circuit,
+            *diag,
+            *parity,
+            *sign,
+            *rotations,
+            *sign,
+            # 4. uncompute.
+            *parity.inverse(),
+            *diag.inverse(),
+            *change.circuit.inverse(),
+        ),
+        f"H[{structure.term.label}])",
+    )
 
 
-def _central_rotation_gates(
-    structure: TermStructure,
-    coeff: complex,
-    time: float,
-    pivot: int,
-    options: EvolutionOptions,
-) -> list[tuple[StandardGate, tuple[int, ...]]]:
-    """The rotation acting on the pivot qubit, as (gate, target-qubits) pairs.
+def _central_rotation_slots(
+    coeff: complex, pivot_ket_bit: int, options: EvolutionOptions
+) -> list[tuple[str, "Callable[[float], tuple[float, ...]]"]]:
+    """The rotation acting on the pivot qubit, as (gate name, angles(t)) pairs.
 
     With the pivot carrying ``|a⟩`` on bit value ``x`` and ``|b⟩`` on ``1-x``,
     the restricted Hamiltonian is ``Re(γ)·X ± Im(γ)·Y`` (the sign of the Y
@@ -195,26 +204,18 @@ def _central_rotation_gates(
     """
     # Sign of the Y component: with pivot ket bit x = 1 the restriction is
     # Re(γ)X + Im(γ)Y; with x = 0 it is Re(γ)X - Im(γ)Y.
-    change = transition_basis_change(
-        structure.num_qubits,
-        structure.transition_qubits,
-        structure.ket_bits,
-        mode=options.basis_change,
-        pivot=options.pivot,
-    )
-    y_sign = 1.0 if change.pivot_ket_bit == 1 else -1.0
-    theta_x = 2.0 * time * coeff.real
-    theta_y = 2.0 * time * coeff.imag * y_sign
+    y_sign = 1.0 if pivot_ket_bit == 1 else -1.0
+    re, im = coeff.real, coeff.imag
 
-    if abs(coeff.imag) < 1e-14:
-        return [(StandardGate("rx", (theta_x,)), (pivot,))]
+    if abs(im) < 1e-14:
+        return [("rx", lambda time: (2.0 * time * re,))]
     if options.complex_mode == "exact":
-        return [(StandardGate("rxy", (theta_x, theta_y)), (pivot,))]
+        return [("rxy", lambda time: (2.0 * time * re, 2.0 * time * im * y_sign))]
     if options.complex_mode == "trotter_split":
         # The paper's Section III-A replacement RX(-2Re[z]θ)·RY(-2Im[z]θ).
         return [
-            (StandardGate("rx", (theta_x,)), (pivot,)),
-            (StandardGate("ry", (theta_y,)), (pivot,)),
+            ("rx", lambda time: (2.0 * time * re,)),
+            ("ry", lambda time: (2.0 * time * im * y_sign,)),
         ]
     raise CircuitError(f"unknown complex_mode {options.complex_mode!r}")
 
@@ -224,34 +225,32 @@ def _central_rotation_gates(
 # ---------------------------------------------------------------------------
 
 
-def _evolve_diagonal_or_pauli_fragment(
-    structure: TermStructure, gamma: float, time: float, options: EvolutionOptions
-) -> QuantumCircuit:
+def _diagonal_or_pauli_skeleton(
+    structure: TermStructure, gamma: float, options: EvolutionOptions
+) -> Skeleton:
     n = structure.num_qubits
-    circuit = QuantumCircuit(n, f"exp(-i·{time:.4g}·H[{structure.term.label}])")
-    angle = 2.0 * time * gamma
+    label = f"H[{structure.term.label}])"
 
     if structure.has_pauli:
         # γ · Π_k ⊗ PS: diagonalise the Paulis, report their parity on one of
         # them, apply an RZ controlled by the number key, uncompute.
         diag = pauli_diagonalisation(n, structure.pauli_qubits, structure.pauli_labels)
-        circuit.compose(diag)
         rot_qubit = structure.pauli_qubits[-1]
         parity = parity_accumulation(
             n, structure.pauli_qubits, rot_qubit, mode=options.parity_mode
         )
-        circuit.compose(parity)
-        gate = StandardGate("rz", (angle,))
-        if structure.has_number:
-            circuit.append(
-                ControlledGate(gate, len(structure.number_qubits), structure.number_key),
-                tuple(structure.number_qubits) + (rot_qubit,),
-            )
-        else:
-            circuit.append(gate, (rot_qubit,))
-        circuit.compose(parity.inverse())
-        circuit.compose(diag.inverse())
-        return circuit
+        rotation = Slot(
+            "rz",
+            tuple(structure.number_qubits) + (rot_qubit,),
+            lambda time: (2.0 * time * gamma,),
+            len(structure.number_qubits),
+            structure.number_key if structure.has_number else 0,
+        )
+        return Skeleton(
+            n,
+            (*diag, *parity, rotation, *parity.inverse(), *diag.inverse()),
+            label,
+        )
 
     if structure.has_number:
         # Pure projector term γ·|k⟩⟨k|: a (multi-controlled) phase of -t·γ on
@@ -259,25 +258,18 @@ def _evolve_diagonal_or_pauli_fragment(
         qubits = structure.number_qubits
         bits = structure.number_bits
         target = qubits[-1]
-        target_bit = bits[-1]
-        phase = -time * gamma
-        if target_bit == 0:
-            circuit.x(target)
-        if len(qubits) == 1:
-            circuit.p(phase, target)
-        else:
-            ctrl_state = bits_to_int(bits[:-1])
-            circuit.append(
-                ControlledGate(StandardGate("p", (phase,)), len(qubits) - 1, ctrl_state),
-                tuple(qubits[:-1]) + (target,),
-            )
-        if target_bit == 0:
-            circuit.x(target)
-        return circuit
+        flip = (Instruction(StandardGate("x"), (target,)),) if bits[-1] == 0 else ()
+        phase = Slot(
+            "p",
+            tuple(qubits),
+            lambda time: (-time * gamma,),
+            len(qubits) - 1,
+            bits_to_int(bits[:-1]) if len(qubits) > 1 else 0,
+        )
+        return Skeleton(n, (*flip, phase, *flip), label)
 
     # Identity term: a global phase.
-    circuit.global_phase = -time * gamma
-    return circuit
+    return Skeleton(n, (), label, phase=lambda time: -time * gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.skeleton import Skeleton, Slot
 from repro.core.basis_change import parity_accumulation, pauli_diagonalisation
 from repro.exceptions import OperatorError
 from repro.operators.pauli import PauliOperator, PauliString
@@ -24,6 +25,42 @@ class PauliEvolutionOptions:
     """Options for the usual-strategy circuits."""
 
     parity_mode: str = "linear"  # "linear" or "pyramid" (Fig. 25)
+
+
+def pauli_string_skeleton(
+    string: PauliString,
+    coefficient: float,
+    *,
+    num_qubits: int | None = None,
+    options: PauliEvolutionOptions | None = None,
+) -> Skeleton:
+    """The time-free circuit of ``exp(-i t · coefficient · P)``.
+
+    Everything but the ``RZ(2 t β)`` angle (and an identity string's global
+    phase ``-t β``) is fixed; :meth:`~repro.circuits.skeleton.Skeleton.bind`
+    evaluates those at a time.
+    """
+    if abs(np.imag(coefficient)) > 1e-12:
+        raise OperatorError("Pauli-string evolution needs a real coefficient")
+    options = options or PauliEvolutionOptions()
+    n = num_qubits if num_qubits is not None else string.num_qubits
+    string = string.expand(n)
+    label = f"{coefficient:.4g}·{string})"
+    beta = float(np.real(coefficient))
+    support = string.support
+    if not support:
+        return Skeleton(n, (), label, phase=lambda time: -time * beta)
+
+    labels = tuple(string[q] for q in support)
+    diag = pauli_diagonalisation(n, support, labels)
+    rot_qubit = support[-1]
+    parity = parity_accumulation(n, support, rot_qubit, mode=options.parity_mode)
+    rotation = Slot("rz", (rot_qubit,), lambda time: (2.0 * time * beta,))
+    return Skeleton(
+        n,
+        (*diag, *parity, rotation, *parity.inverse(), *diag.inverse()),
+        label,
+    )
 
 
 def pauli_string_evolution(
@@ -40,29 +77,10 @@ def pauli_string_evolution(
     ``2(w-1)`` CX gates and one ``RZ`` for a string of weight ``w`` — the gate
     counts quoted in Table III and Section V-A for the usual strategy.
     """
-    if abs(np.imag(coefficient)) > 1e-12:
-        raise OperatorError("Pauli-string evolution needs a real coefficient")
-    options = options or PauliEvolutionOptions()
-    n = num_qubits if num_qubits is not None else string.num_qubits
-    string = string.expand(n)
-    circuit = QuantumCircuit(n, f"exp(-i·{time:.4g}·{coefficient:.4g}·{string})")
-    support = string.support
-    angle = 2.0 * time * float(np.real(coefficient))
-    if not support:
-        circuit.global_phase = -time * float(np.real(coefficient))
-        return circuit
-
-    labels = tuple(string[q] for q in support)
-    diag = pauli_diagonalisation(n, support, labels)
-    rot_qubit = support[-1]
-    parity = parity_accumulation(n, support, rot_qubit, mode=options.parity_mode)
-
-    circuit.compose(diag)
-    circuit.compose(parity)
-    circuit.rz(angle, rot_qubit)
-    circuit.compose(parity.inverse())
-    circuit.compose(diag.inverse())
-    return circuit
+    skeleton = pauli_string_skeleton(
+        string, coefficient, num_qubits=num_qubits, options=options
+    )
+    return skeleton.bind(time)
 
 
 def pauli_trotter_step(

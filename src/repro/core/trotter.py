@@ -9,6 +9,16 @@ drives both strategies of the paper:
 * the **usual** strategy — one fragment per Pauli string, exponentiated by
   :mod:`repro.core.pauli_evolution`.
 
+Both fragment lists are *skeleton, then bind*: each fragment's time-free
+circuit (:class:`~repro.circuits.skeleton.Skeleton`) is built once, and
+``build(time)`` only evaluates its angle expressions.  :func:`_formula_step`
+is the one place a fragment's time is computed (``dt / 2.0``, ``u_k * dt``,
+...); it composes into any container with :meth:`QuantumCircuit.compose`
+semantics, so :class:`FragmentVisits` records the very times and nested
+global-phase sums a circuit would get.  That is how
+:mod:`repro.compile.steps` binds a pre-lowered step without building its
+circuit.
+
 Section VI-B of the paper notes that most product-formula variants apply to
 either strategy; the qDRIFT random compiler is included as an example.
 """
@@ -17,12 +27,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.direct_evolution import EvolutionOptions, evolve_fragment
-from repro.core.pauli_evolution import PauliEvolutionOptions, pauli_string_evolution
+from repro.circuits.skeleton import Skeleton
+from repro.core.direct_evolution import EvolutionOptions, fragment_skeleton
+from repro.core.pauli_evolution import PauliEvolutionOptions, pauli_string_skeleton
 from repro.exceptions import TrotterError
 from repro.operators.hamiltonian import Hamiltonian
 from repro.operators.pauli import PauliOperator
@@ -35,6 +47,8 @@ class ExponentiableFragment:
     label: str
     weight: float
     build: Callable[[float], QuantumCircuit]
+    #: The time-free circuit ``build`` binds, for fragments that have one.
+    skeleton: "Skeleton | None" = None
 
 
 # ---------------------------------------------------------------------------
@@ -49,11 +63,13 @@ def direct_fragments(
     fragments = []
     for fragment in hamiltonian.hermitian_fragments():
         weight = abs(fragment.term.coefficient) * (2.0 if fragment.include_hc else 1.0)
+        skeleton = fragment_skeleton(fragment, options=options)
         fragments.append(
             ExponentiableFragment(
                 label=fragment.term.label,
                 weight=weight,
-                build=lambda t, fragment=fragment: evolve_fragment(fragment, t, options=options),
+                build=skeleton.bind,
+                skeleton=skeleton,
             )
         )
     return fragments
@@ -69,13 +85,13 @@ def pauli_fragments(
     fragments = []
     for string, coeff in operator.items():
         coeff_r = float(np.real(coeff))
+        skeleton = pauli_string_skeleton(string, coeff_r, num_qubits=n, options=options)
         fragments.append(
             ExponentiableFragment(
                 label=str(string),
                 weight=abs(coeff_r),
-                build=lambda t, string=string, coeff_r=coeff_r: pauli_string_evolution(
-                    string, coeff_r, t, num_qubits=n, options=options
-                ),
+                build=skeleton.bind,
+                skeleton=skeleton,
             )
         )
     return fragments
@@ -100,6 +116,21 @@ def trotter_circuit(
     standard Suzuki recursion).  ``steps`` repetitions of the formula are
     applied with time slice ``time / steps``.
     """
+    return product_formula(
+        fragments, num_qubits, time, steps=steps, order=order, new=QuantumCircuit
+    )[1]
+
+
+def product_formula(
+    fragments: Sequence, num_qubits: int, time: float, *, steps: int, order: int, new: Callable
+) -> tuple:
+    """``(one step, the whole formula)`` as ``new`` containers.
+
+    ``new(num_qubits, name)`` makes an empty container with
+    :meth:`QuantumCircuit.compose` semantics and each ``fragment.build(t)``
+    returns one; the whole formula is the step composed ``steps`` times, so
+    its global phase is the same running sum a circuit accumulates.
+    """
     if steps < 1:
         raise TrotterError("steps must be >= 1")
     if order < 1:
@@ -107,24 +138,22 @@ def trotter_circuit(
     if order != 1 and order % 2 != 0:
         raise TrotterError("only order 1 and even orders are defined")
 
-    circuit = QuantumCircuit(num_qubits, f"trotter(order={order}, steps={steps})")
+    whole = new(num_qubits, f"trotter(order={order}, steps={steps})")
     dt = time / steps
-    step = _formula_step(fragments, num_qubits, dt, order)
+    step = _formula_step(fragments, num_qubits, dt, order, new)
     for _ in range(steps):
-        circuit.compose(step)
-    return circuit
+        whole.compose(step)
+    return step, whole
 
 
-def _formula_step(
-    fragments: Sequence[ExponentiableFragment], num_qubits: int, dt: float, order: int
-) -> QuantumCircuit:
+def _formula_step(fragments: Sequence, num_qubits: int, dt: float, order: int, new: Callable):
     if order == 1:
-        circuit = QuantumCircuit(num_qubits)
+        circuit = new(num_qubits)
         for frag in fragments:
             circuit.compose(frag.build(dt))
         return circuit
     if order == 2:
-        circuit = QuantumCircuit(num_qubits)
+        circuit = new(num_qubits)
         for frag in fragments:
             circuit.compose(frag.build(dt / 2.0))
         for frag in reversed(fragments):
@@ -133,15 +162,52 @@ def _formula_step(
     # Suzuki recursion for order 2k.
     k = order // 2
     u_k = 1.0 / (4.0 - 4.0 ** (1.0 / (2 * k - 1)))
-    inner = _formula_step(fragments, num_qubits, u_k * dt, order - 2)
-    middle = _formula_step(fragments, num_qubits, (1.0 - 4.0 * u_k) * dt, order - 2)
-    circuit = QuantumCircuit(num_qubits)
+    inner = _formula_step(fragments, num_qubits, u_k * dt, order - 2, new)
+    middle = _formula_step(fragments, num_qubits, (1.0 - 4.0 * u_k) * dt, order - 2, new)
+    circuit = new(num_qubits)
     circuit.compose(inner)
     circuit.compose(inner)
     circuit.compose(middle)
     circuit.compose(inner)
     circuit.compose(inner)
     return circuit
+
+
+class FragmentVisits:
+    """A product formula as its fragment visits, with a circuit's compose semantics.
+
+    ``visits`` lists ``(fragment index, time)`` in application order and
+    ``global_phase`` is summed exactly as :meth:`QuantumCircuit.compose`
+    sums it.  :meth:`visitors` turns skeletons into the fragments
+    :func:`product_formula` expects.
+    """
+
+    __slots__ = ("visits", "global_phase")
+
+    def __init__(self, num_qubits: int = 0, name: str = ""):
+        self.visits: list[tuple[int, float]] = []
+        self.global_phase = 0.0
+
+    def compose(self, other: "FragmentVisits") -> "FragmentVisits":
+        self.visits.extend(other.visits)
+        self.global_phase += other.global_phase
+        return self
+
+    @staticmethod
+    def visitors(skeletons: Sequence[Skeleton]) -> list:
+        return [_Visitor(index, skeleton.phase) for index, skeleton in enumerate(skeletons)]
+
+
+class _Visitor(NamedTuple):
+    index: int
+    phase: "Callable[[float], float] | None"
+
+    def build(self, time: float) -> FragmentVisits:
+        visit = FragmentVisits()
+        visit.visits.append((self.index, time))
+        if self.phase is not None:
+            visit.global_phase = self.phase(time)
+        return visit
 
 
 def qdrift_circuit(

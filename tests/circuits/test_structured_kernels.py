@@ -33,8 +33,17 @@ from repro.circuits import (
     evolve_statevectors,
 )
 from repro.circuits import statevector as statevector_module
+from repro.circuits.density_matrix import _apply_channel_tensor
+from repro.circuits.gate import Instruction
+from repro.circuits.skeleton import Skeleton, Slot
 from repro.circuits.standard_gates import DIAGONAL_GATES, STANDARD_GATES
-from repro.circuits.statevector import _evolve_tensor, _IndexTables
+from repro.circuits.statevector import (
+    _evolve_tensor,
+    _IndexTables,
+    bind_ops,
+    lower_items,
+    lower_step,
+)
 from repro.noise import NoiseModel
 from repro.noise.channels import amplitude_damping_channel
 
@@ -300,3 +309,159 @@ class TestIndexTableCache:
         tables.get(keys[0])  # hit: now the most recent
         tables.get(keys[3])  # evicts keys[1], the least recent
         assert list(tables._tables) == [keys[2], keys[0], keys[3]]
+
+
+# ---------------------------------------------------------------------------
+# Composed gathers: one table per run of adjacent permutations
+# ---------------------------------------------------------------------------
+
+GATHERS = ("x", "cx", "ccx", "swap", "cswap")
+
+
+@st.composite
+def gather_runs(draw, max_qubits: int = 5):
+    """Circuits dominated by runs of permutations, broken by other gates."""
+    num_qubits = draw(st.integers(1, max_qubits))
+    circuit = QuantumCircuit(num_qubits)
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(
+            ("gather", "gather", "controlled gather", "diagonal", "controlled", "dense")
+        ))
+        if kind == "gather":
+            gate = _standard(draw, draw(st.sampled_from(GATHERS)))
+        elif kind == "controlled gather":
+            base = StandardGate(draw(st.sampled_from(("x", "swap", "cx"))))
+            num_ctrl = draw(st.integers(1, 2))
+            gate = ControlledGate(base, num_ctrl, draw(st.integers(0, (1 << num_ctrl) - 1)))
+        elif kind == "diagonal":
+            gate = _standard(draw, draw(st.sampled_from(sorted(DIAGONAL_GATES))))
+        elif kind == "controlled":
+            gate = _controlled(draw, draw(st.sampled_from(CONTROLLED_BASES)))
+        elif draw(st.booleans()):
+            gate = _standard(draw, draw(st.sampled_from(("h", "u"))))
+        else:
+            gate = MatrixGate(_random_unitary(draw(st.integers(0, 2**16)), 1))
+        if gate.num_qubits > num_qubits:
+            continue
+        qubits = draw(st.permutations(range(num_qubits)))[: gate.num_qubits]
+        circuit.append(gate, qubits)
+    return circuit
+
+
+def _per_gate(tensor: np.ndarray, circuit: QuantumCircuit, n: int) -> np.ndarray:
+    """The uncomposed replay: one lowered op per instruction."""
+    for instr in circuit:
+        tensor = statevector_module._apply_op(
+            tensor, statevector_module._lower_gate(instr.gate, instr.qubits, n), n
+        )
+    return tensor
+
+
+class TestComposedGathers:
+    @given(circuit=gather_runs(), seed=st.integers(0, 2**16), batch=st.integers(0, 2))
+    def test_same_bytes_as_the_per_gate_replay(self, circuit, seed, batch):
+        n = circuit.num_qubits
+        batch_axes = (3,) * batch
+        tensor = _random_state(seed, 1 << n, *batch_axes).reshape((2,) * n + batch_axes)
+        composed = _evolve_tensor(tensor.copy(), circuit, n)
+        assert composed.tobytes() == _per_gate(tensor.copy(), circuit, n).tobytes()
+
+    @given(circuit=gather_runs(), seed=st.integers(0, 2**16))
+    def test_public_engines_give_the_per_gate_bytes(self, circuit, seed):
+        n = circuit.num_qubits
+        psi = _random_state(seed, 1 << n)
+        reference = _per_gate(psi.reshape((2,) * n).copy(), circuit, n).reshape(-1)
+        assert Statevector(psi).evolve(circuit).data.tobytes() == reference.tobytes()
+        states = _random_state(seed, 1 << n, 2)
+        batch = _per_gate(states.reshape((2,) * n + (2,)).copy(), circuit, n)
+        assert evolve_statevectors(circuit, states).tobytes() == batch.reshape(-1, 2).tobytes()
+
+    @given(circuit=gather_runs())
+    def test_only_adjacent_gathers_merge(self, circuit):
+        n = circuit.num_qubits
+        kinds = [statevector_module._lower_gate(i.gate, i.qubits, n).kind for i in circuit]
+        gather = statevector_module._GATHER
+        expected = [
+            kind for index, kind in enumerate(kinds)
+            if kind != gather or index == 0 or kinds[index - 1] != gather
+        ]
+        assert [op.kind for op in lower_items(circuit, n)] == expected
+
+    @given(circuit=gather_runs(max_qubits=4), seed=st.integers(0, 2**16))
+    def test_noisy_density_matrix_still_lowers_gate_by_gate(self, circuit, seed):
+        # Channels act after every gate, so a density matrix must not merge
+        # its gathers: it gives exactly the per-gate loop's bytes.
+        noise = NoiseModel.uniform_depolarizing(0.02, 0.05)
+        noise.add_gate_error(amplitude_damping_channel(0.1), ["x", "cx", "swap", "c1-x"])
+        n = circuit.num_qubits
+        psi = _random_state(seed, 1 << n)
+        rho = np.outer(psi, psi.conj())
+        tensor = rho.reshape((2,) * (2 * n)).copy()
+        for instr in circuit:
+            op = statevector_module._lower_gate(instr.gate, instr.qubits, n)
+            tensor = statevector_module._apply_op(tensor, op, n)
+            tensor = statevector_module._apply_op(tensor, op, n, first=n, conj=True)
+            for channel, targets in noise.channels_for(instr.name, instr.qubits):
+                tensor = _apply_channel_tensor(tensor, channel, targets, n)
+        out = DensityMatrix(rho).evolve(circuit, noise_model=noise)
+        assert out.data.tobytes() == tensor.reshape(1 << n, 1 << n).tobytes()
+
+
+@st.composite
+def skeleton_steps(draw):
+    """Fragments of instructions and slots, and a visit order with repeats."""
+    n = draw(st.integers(2, 4))
+    fragments = []
+    for _ in range(draw(st.integers(1, 4))):
+        items = []
+        for _ in range(draw(st.integers(0, 6))):
+            kind = draw(st.sampled_from(("gather", "gather", "slot", "dense")))
+            if kind == "slot":
+                name = draw(st.sampled_from(("rz", "p", "rx")))
+                scale = draw(st.floats(-2.0, 2.0))
+                target = draw(st.integers(0, n - 1))
+                control = (target + 1) % n
+                if draw(st.booleans()):
+                    items.append(Slot(name, (target,), lambda t, s=scale: (s * t,)))
+                else:
+                    items.append(Slot(name, (control, target), lambda t, s=scale: (s * t,),
+                                      1, draw(st.integers(0, 1))))
+                continue
+            gate = _standard(draw, draw(st.sampled_from(GATHERS if kind == "gather" else ("h",))))
+            if gate.num_qubits > n:
+                continue
+            qubits = tuple(draw(st.permutations(range(n)))[: gate.num_qubits])
+            items.append(Instruction(gate, qubits))
+        fragments.append(Skeleton(n, tuple(items), "test)"))
+    visits = draw(st.lists(st.integers(0, len(fragments) - 1), min_size=1, max_size=10))
+    times = [draw(st.floats(-1.0, 1.0)) for _ in visits]
+    return n, fragments, visits, times
+
+
+class TestLoweredSteps:
+    @given(drawn=skeleton_steps(), seed=st.integers(0, 2**16))
+    def test_a_bound_step_is_its_circuit(self, drawn, seed):
+        n, fragments, visits, times = drawn
+        lowered, nbytes = lower_step([f.items for f in fragments], visits, n, 1 << 20)
+        ops = bind_ops(lowered, (t for i, t in zip(visits, times)
+                                 for _ in fragments[i].slots))
+        circuit = QuantumCircuit(n)
+        for index, t in zip(visits, times):
+            circuit.compose(fragments[index].bind(t))
+        psi = _random_state(seed, 1 << n)
+        got = Statevector(psi).replay(ops)
+        assert got.data.tobytes() == Statevector(psi).evolve(circuit).data.tobytes()
+        reference = _per_gate(psi.reshape((2,) * n).copy(), circuit, n).reshape(-1)
+        assert got.data.tobytes() == reference.tobytes()
+        assert nbytes <= (1 << 20)
+
+    def test_a_step_over_the_byte_bound_is_refused(self):
+        circuit = QuantumCircuit(6)
+        circuit.cx(0, 1)
+        circuit.rz(0.3, 1)
+        circuit.cx(0, 1)
+        items = tuple(circuit)
+        _, nbytes = lower_step([items], [0, 0], 6, 1 << 20)
+        assert nbytes == 3 * 8 * 64  # leading, boundary and trailing tables
+        assert lower_step([items], [0, 0], 6, nbytes - 1) is None
+        assert lower_step([items], [0, 0], 6, nbytes)[1] == nbytes
