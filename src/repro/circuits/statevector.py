@@ -37,7 +37,6 @@ states at once.
 from __future__ import annotations
 
 import math
-import threading
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
@@ -50,6 +49,7 @@ from repro.circuits.skeleton import Item, Slot
 from repro.circuits.standard_gates import DIAGONAL_GATES, standard_gate_matrix
 from repro.exceptions import SimulationError
 from repro.utils.bits import int_to_bits, int_to_bitstring
+from repro.utils.lru import LRUCache
 
 #: Byte budget of the process-wide index-table LRU (:data:`_TABLES`).  A
 #: 10-qubit table is 8 KiB, so this holds thousands of them; a single table
@@ -90,35 +90,20 @@ def apply_matrix(
     return np.moveaxis(moved, range(k), qubits)
 
 
-class _IndexTables:
+class _IndexTables(LRUCache):
     """Read-only gather tables of the permutation gates, shared process-wide.
 
     A table depends only on its key — (register width, qubits, base name,
-    ``ctrl_state``) — so one LRU bounded in bytes (hits move to the back,
-    eviction pops the front) serves every thread under one lock.
+    ``ctrl_state``) — so one LRU bounded in bytes serves every thread;
+    :meth:`get` builds a missing table, and one larger than the bound is
+    used but never stored.
     """
 
-    def __init__(self, cap_bytes: int):
-        self.cap_bytes = cap_bytes
-        self.nbytes = 0
-        self._tables: dict[tuple, np.ndarray] = {}
-        self._lock = threading.Lock()
-
     def get(self, key: tuple) -> np.ndarray:
-        with self._lock:
-            table = self._tables.pop(key, None)
-            if table is not None:
-                self._tables[key] = table  # re-insertion moves the hit to the back
-                return table
-        table = _permutation_table(*key)
-        if table.nbytes <= self.cap_bytes:
-            with self._lock:
-                if key not in self._tables:
-                    while self.nbytes + table.nbytes > self.cap_bytes:
-                        evicted = self._tables.pop(next(iter(self._tables)))
-                        self.nbytes -= evicted.nbytes
-                    self._tables[key] = table
-                    self.nbytes += table.nbytes
+        table = super().get(key)
+        if table is None:
+            table = _permutation_table(*key)
+            self.put(key, table, table.nbytes)
         return table
 
 
@@ -239,26 +224,23 @@ def _lower_slot(slot: Slot, num_qubits: int) -> _SlotOp:
     return _SlotOp(kind, targets, controls, order, slot)
 
 
-def lower_items(items: Iterable[Item], num_qubits: int, memo: "dict | None" = None) -> Iterator:
+def _lower_item(item: Item, num_qubits: int):
+    """The op of one instruction, or the unbound op of one slot."""
+    if isinstance(item, Slot):
+        return _lower_slot(item, num_qubits)
+    return _lower_gate(item.gate, item.qubits, num_qubits)
+
+
+def lower_items(items: Iterable[Item], num_qubits: int) -> Iterator:
     """Yield the structured ops of ``items`` (instructions and slots), in order.
 
     Each run of adjacent gathers is composed into one index table; a lone
     gather keeps its shared read-only table.  Lazy, so a consumer that
     applies each op as it comes holds one composed table at a time.
-    ``memo`` shares the op of each parameterless standard gate, keyed on its
-    name and qubits, across calls that pass the same dict.
     """
     table = None
     for item in items:
-        if isinstance(item, Slot):
-            op = _lower_slot(item, num_qubits)
-        elif memo is not None and type(item.gate) is StandardGate and not item.gate.params:
-            key = (item.gate.name, item.qubits)
-            op = memo.get(key)
-            if op is None:
-                op = memo[key] = _lower_gate(item.gate, item.qubits, num_qubits)
-        else:
-            op = _lower_gate(item.gate, item.qubits, num_qubits)
+        op = _lower_item(item, num_qubits)
         if op.kind == _GATHER:
             table = op.data if table is None else table[op.data]
             continue
@@ -278,20 +260,30 @@ def lower_step(
 ) -> "tuple[list, int] | None":
     """The ops of a step that visits ``fragments[i]`` for each ``i`` of ``visits``.
 
-    Each distinct fragment is lowered once and kept only until its last
-    visit.  The gathers that meet at a fragment boundary are composed into
-    one read-only table, once per distinct run, so a product formula that
-    repeats a boundary (the Suzuki sub-steps) shares its table.  Returns the
-    ops and the bytes of their tables, or ``None`` as soon as those would
-    pass ``max_bytes``.
+    Each distinct fragment is lowered once, gate by gate, and kept only
+    until its last visit; a parameterless standard gate is lowered once per
+    step.  Each run of adjacent gathers, within a fragment or across its
+    boundaries, is then composed into one read-only table — once per
+    distinct run, so a product formula that repeats a run (the Suzuki
+    sub-steps) shares its table.  Returns the ops and the bytes of their
+    tables, or ``None`` as soon as those would pass ``max_bytes``.
     """
     remaining = Counter(visits)
-    memo: dict = {}
+    fixed: dict = {}  # (name, qubits) -> op of a parameterless standard gate
     lowered: dict[int, list] = {}
     runs: dict[tuple, np.ndarray] = {}  # (fragment, position) of each gather -> table
     ops: list = []
     run: list = []
     nbytes = 0
+
+    def lower(item: Item):
+        if isinstance(item, Slot) or type(item.gate) is not StandardGate or item.gate.params:
+            return _lower_item(item, num_qubits)
+        key = (item.gate.name, item.qubits)
+        op = fixed.get(key)
+        if op is None:
+            op = fixed[key] = _lower_gate(item.gate, item.qubits, num_qubits)
+        return op
 
     def flush() -> None:
         nonlocal nbytes
@@ -310,7 +302,7 @@ def lower_step(
     for index in visits:
         piece = lowered.get(index)
         if piece is None:
-            piece = lowered[index] = list(lower_items(fragments[index], num_qubits, memo))
+            piece = lowered[index] = [lower(item) for item in fragments[index]]
         for position, op in enumerate(piece):
             if op.kind == _GATHER:
                 run.append(((index, position), op.data))
@@ -487,6 +479,8 @@ class Statevector:
     ) -> "Statevector":
         """Return the state after ``repeat`` passes of pre-lowered ops, then
         ``e^{i·global_phase}`` (see :func:`lower_items`)."""
+        if repeat > 1:
+            ops = list(ops)  # every pass needs every op, and an iterator runs out
         n = self.num_qubits
         tensor = self._vec.reshape((2,) * n if n else (1,)).copy()
         for _ in range(repeat):

@@ -391,11 +391,11 @@ class SamplingBackend:
             num_qubits = rho.num_qubits
         else:
             # Coerced first: KernelBackend.run reads a 2-D array as a batch.
-            # The plan evolves the system register; a plan-less program falls
-            # back to its circuit, whose register may carry ancillas.
+            # An evolution program acts on the system register alone; any
+            # other runs its circuit, whose register may carry ancillas.
             width = (
                 program.problem.num_qubits
-                if program.evolution_plan() is not None
+                if program.kind == "evolution"
                 else program.execution_circuit.num_qubits
             )
             state = KernelBackend().run(

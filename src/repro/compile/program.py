@@ -148,12 +148,13 @@ class CompiledProgram:
             from repro.compile.steps import bind_step
             from repro.compile.strategies import DirectStrategy, PauliStrategy
 
-            if self.problem.options.optimize_level == 0 and type(self.strategy) in (
+            builtin = type(self.strategy)
+            if self.problem.options.optimize_level == 0 and builtin in (
                 DirectStrategy,
                 PauliStrategy,
             ):
                 self._bound_step = self._timed_build(
-                    "bind", lambda: bind_step(self.problem, self.strategy_name)
+                    "bind", lambda: bind_step(self.problem, builtin.name)
                 )
             self._bind_unavailable = self._bound_step is None
         return self._bound_step

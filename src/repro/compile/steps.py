@@ -30,7 +30,6 @@ never built, and its program runs its execution circuit instead.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import astuple
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -42,6 +41,8 @@ from repro.core.trotter import (
     pauli_fragments,
     product_formula,
 )
+from repro.exceptions import CompileError
+from repro.utils.lru import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compile.problem import SimulationProblem
@@ -59,7 +60,7 @@ class BoundStep(NamedTuple):
 class _Entry:
     """The time-free half of one Hamiltonian's steps for one strategy."""
 
-    __slots__ = ("fragments", "visitors", "slot_counts", "templates", "nbytes")
+    __slots__ = ("fragments", "visitors", "slot_counts", "templates")
 
     def __init__(self, fragments: "list[ExponentiableFragment]"):
         self.fragments = fragments
@@ -68,70 +69,23 @@ class _Entry:
         self.slot_counts = [len(skeleton.slots) for skeleton in skeletons]
         #: product-formula order -> lowered step (``None``: over the byte bound)
         self.templates: dict = {}
-        self.nbytes = 0
 
 
 def _key(problem: "SimulationProblem", strategy: str) -> tuple:
     options = problem.options
-    slice_ = options.evolution_options() if strategy == "direct" else options.pauli_options()
-    return (
-        strategy,
-        astuple(slice_),
-        problem.num_qubits,
-        problem.hamiltonian.sequence_key(),
-    )
+    if strategy == "direct":
+        slice_ = options.evolution_options()
+    elif strategy == "pauli":
+        slice_ = options.pauli_options()
+    else:
+        raise CompileError(f"no cached Trotter step for strategy {strategy!r}")
+    return (strategy, astuple(slice_), problem.num_qubits, problem.hamiltonian.sequence_key())
 
 
-class _StepCache:
-    """``key -> _Entry`` in LRU order (hits move to the back, eviction pops
-    the front), bounded in entries and in the bytes of their index tables,
-    and shared by every thread of the process under one lock.  The newest
-    entry stays even when its tables alone pass the byte bound."""
-
-    def __init__(self, cap: int, cap_bytes: int):
-        self.cap = cap
-        self.cap_bytes = cap_bytes
-        self.nbytes = 0
-        self._entries: "dict[tuple, _Entry]" = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> "_Entry | None":
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self._entries[key] = entry  # re-insertion moves the hit to the back
-            return entry
-
-    def store(self, key: tuple, entry: _Entry) -> None:
-        with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self.nbytes -= previous.nbytes
-            self._entries[key] = entry
-            self._grow(entry.nbytes)
-
-    def add_template(self, key: tuple, entry: _Entry, order: int, lowered) -> None:
-        """Record ``entry``'s step for ``order`` (``None``: over the byte bound)."""
-        template, nbytes = lowered if lowered is not None else (None, 0)
-        with self._lock:
-            if order in entry.templates:
-                return
-            entry.templates[order] = template
-            entry.nbytes += nbytes
-            if self._entries.get(key) is entry:
-                self._grow(nbytes)
-
-    def _grow(self, nbytes: int) -> None:
-        """Count ``nbytes`` more and evict from the front to the bounds; lock held."""
-        self.nbytes += nbytes
-        entries = self._entries
-        while len(entries) > self.cap or (self.nbytes > self.cap_bytes and len(entries) > 1):
-            self.nbytes -= entries.pop(next(iter(entries))).nbytes
-
-
-#: At most 16 Hamiltonians and 64 MiB of index tables (a 10-qubit table is
-#: 8 KiB; a one-step HUBO ``pauli`` step of 435 strings keeps 436).
-_STEPS = _StepCache(16, 64 << 20)
+#: ``key -> _Entry`` for at most 16 Hamiltonians, charged the bytes of their
+#: index tables as each order's step is lowered, up to 64 MiB (a 10-qubit
+#: table is 8 KiB; a one-step HUBO ``pauli`` step of 435 strings keeps 436).
+_STEPS = LRUCache(64 << 20, 16)
 
 
 def _entry(problem: "SimulationProblem", strategy: str) -> "tuple[tuple, _Entry]":
@@ -147,7 +101,7 @@ def _entry(problem: "SimulationProblem", strategy: str) -> "tuple[tuple, _Entry]
             problem.pauli_operator(), problem.num_qubits, options.pauli_options()
         )
     entry = _Entry(fragments)
-    _STEPS.store(key, entry)
+    _STEPS.put(key, entry)
     return key, entry
 
 
@@ -181,7 +135,11 @@ def bind_step(problem: "SimulationProblem", strategy: str) -> "BoundStep | None"
             problem.num_qubits,
             _STEPS.cap_bytes,
         )
-        _STEPS.add_template(key, entry, order, lowered)
+        template, nbytes = lowered if lowered is not None else (None, 0)
+        # setdefault is atomic: of the threads that lowered one order, only
+        # the one whose template is stored charges its bytes.
+        if entry.templates.setdefault(order, template) is template:
+            _STEPS.charge(key, entry, nbytes)
     template = entry.templates[order]
     if template is None:
         return None

@@ -104,7 +104,7 @@ class DirectStrategy:
 
     def build(self, problem: "SimulationProblem") -> QuantumCircuit:
         return trotter_circuit(
-            step_fragments(problem, self.name),
+            step_fragments(problem, DirectStrategy.name),
             problem.num_qubits,
             problem.time,
             steps=problem.steps,
@@ -149,7 +149,7 @@ class PauliStrategy:
 
     def build(self, problem: "SimulationProblem") -> QuantumCircuit:
         return trotter_circuit(
-            step_fragments(problem, self.name),
+            step_fragments(problem, PauliStrategy.name),
             problem.num_qubits,
             problem.time,
             steps=problem.steps,

@@ -248,9 +248,9 @@ class TestIndexTableCache:
             np.testing.assert_array_equal(structured, dense)  # a gather is exact
             assert tables.nbytes <= cap
             tensor = structured
-        assert tables.nbytes == sum(t.nbytes for t in tables._tables.values()) == cap
+        assert tables.nbytes == sum(t.nbytes for t in tables._entries.values()) == cap
         # The most recent tables survive; the oldest were evicted.
-        assert list(tables._tables) == [(n, pair, "x", 1) for pair in pairs[-4:]]
+        assert list(tables._entries) == [(n, pair, "x", 1) for pair in pairs[-4:]]
 
     def test_a_table_larger_than_the_cap_is_used_but_not_stored(self, monkeypatch):
         tables = _IndexTables(1 << 10)  # smaller than one 8-qubit table
@@ -262,7 +262,7 @@ class TestIndexTableCache:
         np.testing.assert_array_equal(
             Statevector(psi).evolve(circuit).data, circuit_unitary(circuit) @ psi
         )
-        assert tables.nbytes == 0 and not tables._tables
+        assert tables.nbytes == 0 and not tables._entries
 
     def test_shared_by_threads_under_a_tiny_switch_interval(self):
         tables = _IndexTables(5 * 8 * 64)  # five 6-qubit tables
@@ -297,8 +297,8 @@ class TestIndexTableCache:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         # A lost update of the byte count would break this equality.
-        assert tables.nbytes == sum(t.nbytes for t in tables._tables.values())
-        assert len(tables._tables) <= 5
+        assert tables.nbytes == sum(t.nbytes for t in tables._entries.values())
+        assert len(tables._entries) <= 5
 
     def test_hits_move_to_the_back(self, monkeypatch):
         tables = _IndexTables(3 * 8 * 16)  # three 4-qubit tables
@@ -308,7 +308,7 @@ class TestIndexTableCache:
             tables.get(key)
         tables.get(keys[0])  # hit: now the most recent
         tables.get(keys[3])  # evicts keys[1], the least recent
-        assert list(tables._tables) == [keys[2], keys[0], keys[3]]
+        assert list(tables._entries) == [keys[2], keys[0], keys[3]]
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +454,19 @@ class TestLoweredSteps:
         reference = _per_gate(psi.reshape((2,) * n).copy(), circuit, n).reshape(-1)
         assert got.data.tobytes() == reference.tobytes()
         assert nbytes <= (1 << 20)
+
+    def test_replay_repeats_an_iterator_of_ops(self):
+        circuit = QuantumCircuit(3)
+        circuit.h(0)
+        circuit.cx(0, 1)
+        circuit.rz(0.4, 1)
+        circuit.ccx(0, 1, 2)
+        twice = QuantumCircuit(3)
+        twice.compose(circuit)
+        twice.compose(circuit)
+        psi = _random_state(5, 8)
+        got = Statevector(psi).replay(lower_items(circuit, 3), repeat=2)
+        assert got.data.tobytes() == Statevector(psi).evolve(twice).data.tobytes()
 
     def test_a_step_over_the_byte_bound_is_refused(self):
         circuit = QuantumCircuit(6)

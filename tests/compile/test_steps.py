@@ -23,7 +23,9 @@ from repro.compile import steps
 from repro.compile.pipeline import compile_problem
 from repro.compile.problem import SimulationProblem
 from repro.compile.strategies import STRATEGIES, DirectStrategy
+from repro.exceptions import CompileError
 from repro.operators.hamiltonian import Hamiltonian
+from repro.utils.lru import LRUCache
 
 TERMS = [("nsdI", 0.8), ("IZZI", 0.3), ("IXsd", 0.5 + 0.2j), ("mnsd", 0.2), ("IIII", 0.4)]
 
@@ -31,7 +33,7 @@ TERMS = [("nsdI", 0.8), ("IZZI", 0.3), ("IXsd", 0.5 + 0.2j), ("mnsd", 0.2), ("II
 @pytest.fixture
 def fresh_cache(monkeypatch):
     """An empty step cache for the test; the process-wide one is restored after."""
-    cache = steps._StepCache(steps._STEPS.cap, steps._STEPS.cap_bytes)
+    cache = LRUCache(steps._STEPS.cap_bytes, steps._STEPS.cap)
     monkeypatch.setattr(steps, "_STEPS", cache)
     return cache
 
@@ -80,8 +82,21 @@ class TestWhoBinds:
             state = program.run("statevector")
             assert program.bound_step() is None
             assert state.data.tobytes() == circuit_bytes(program)
+            # Its parent's build stays the direct circuit under any name.
+            reference = DirectStrategy().build(problem(time=0.6))
+            assert program.circuit.count_ops() == reference.count_ops()
+            assert program.circuit.count_ops() != compile_problem(
+                problem(time=0.6), "pauli"
+            ).circuit.count_ops()
         finally:
             STRATEGIES.unregister("doubled-test")
+
+    def test_only_the_builtin_steps_are_cached(self, fresh_cache):
+        with pytest.raises(CompileError, match="doubled-test"):
+            steps.step_fragments(problem(), "doubled-test")
+        with pytest.raises(CompileError, match="doubled-test"):
+            steps.bind_step(problem(), "doubled-test")
+        assert not fresh_cache._entries
 
 
 class TestKey:
@@ -113,8 +128,7 @@ class TestBounds:
         newest = problem(terms=[("YYZI", 0.5)])
         compile_problem(newest, "pauli").run("statevector")
         newest_bytes = fresh_cache.nbytes
-        fresh_cache._entries.clear()
-        fresh_cache.nbytes = 0
+        fresh_cache.clear()
 
         fresh_cache.cap = 2
         for label in ["XXZI", "IXXZ", "ZIXX", "XZIX"]:
@@ -122,13 +136,13 @@ class TestBounds:
                 "statevector"
             )
         assert len(fresh_cache._entries) == 2
-        assert fresh_cache.nbytes == sum(e.nbytes for e in fresh_cache._entries.values()) > 0
+        assert fresh_cache.nbytes == sum(fresh_cache._sizes.values()) > 0
         # A byte bound that fits the newest step alone evicts every older one.
         fresh_cache.cap_bytes = newest_bytes
         compile_problem(newest, "pauli").run("statevector")
-        [(key, entry)] = fresh_cache._entries.items()
+        [key] = fresh_cache._entries
         assert key[-1] == newest.hamiltonian.sequence_key()
-        assert fresh_cache.nbytes == entry.nbytes == newest_bytes > 0
+        assert fresh_cache.nbytes == fresh_cache._sizes[key] == newest_bytes > 0
 
     def test_a_step_over_the_byte_bound_runs_its_circuit(self, fresh_cache):
         fresh_cache.cap_bytes = 0
@@ -149,6 +163,14 @@ def test_threads_share_the_cache_under_a_tiny_switch_interval(fresh_cache):
     expected = {
         index: circuit_bytes(compile_problem(case, "pauli")) for index, case in enumerate(cases)
     }
+    # The bytes one order's step charges to its entry, bound alone.
+    step_bytes = {}
+    for case in cases:
+        key = steps._key(case, "pauli")
+        fresh_cache.clear()
+        compile_problem(case, "pauli").run("statevector")
+        step_bytes[key, case.order] = fresh_cache._sizes[key]
+    fresh_cache.clear()
     errors: list = []
     deadline = time.monotonic() + 1.0
 
@@ -177,6 +199,9 @@ def test_threads_share_the_cache_under_a_tiny_switch_interval(fresh_cache):
         sys.setswitchinterval(switch)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    # A lost update of the byte count would break this equality.
-    assert fresh_cache.nbytes == sum(e.nbytes for e in fresh_cache._entries.values())
+    # A lost update of the byte count, or a step charged twice, would break these.
+    assert fresh_cache.nbytes == sum(fresh_cache._sizes.values())
+    for key, entry in fresh_cache._entries.items():
+        orders = [order for order, template in entry.templates.items() if template is not None]
+        assert fresh_cache._sizes[key] == sum(step_bytes[key, order] for order in orders)
     assert len(fresh_cache._entries) <= 3

@@ -246,7 +246,9 @@ class TestSamplingAgreesWithStatevector:
             program = repro.compile(random_problem(2, num_qubits=3, num_terms=2), case)
         prepared = SamplingBackend().prepare(program)
         assert program.evolution_plan() is None
-        assert program.is_built
+        # Only ancillas need the circuit's register: a trotter_split program
+        # evolves through its bound Trotter step and never builds its circuit.
+        assert program.is_built == (case != "trotter_split")
         assert prepared.num_qubits == program.circuit.num_qubits
         np.testing.assert_allclose(
             prepared.probabilities,
