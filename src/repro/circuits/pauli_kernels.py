@@ -23,9 +23,11 @@ bit, :mod:`repro.utils.bits`).  Every kernel accepts a trailing batch axis:
 ``state`` may be ``(2^n,)`` or ``(2^n, batch)``, so one pass evolves many
 initial states (or whole unitaries) at once.
 
-These kernels power the ``kernel`` execution backend via
-:class:`repro.compile.plan.EvolutionPlan`, which lowers a Trotter schedule to
-a sequence of mask tuples once and replays it across steps and sweeps.
+The ``kernel`` execution backend does not run these kernels:
+:class:`repro.compile.plan.EvolutionPlan` applies its own closed-form
+fragment tables, and takes only :func:`pauli_masks`, :func:`basis_indices`
+and the popcount from this module.  The kernels remain the public API for
+applying ad-hoc Pauli rotations and mask schedules.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import math
 import numpy as np
 
 from repro.exceptions import SimulationError
+from repro.utils.lru import LRUCache
 
 try:  # NumPy >= 2.0
     _popcount = np.bitwise_count
@@ -50,9 +53,8 @@ except AttributeError:  # pragma: no cover - fallback for older NumPy
 
 
 #: Basis-index arrays are shared across rotations (and plans); one entry per
-#: register width, biggest registers win when the cache is trimmed.
-_INDEX_CACHE: dict[int, np.ndarray] = {}
-_INDEX_CACHE_SIZE = 4
+#: register width, for the four most recently used widths.
+_INDEX_CACHE = LRUCache(cap=4)
 
 
 def basis_indices(num_qubits: int) -> np.ndarray:
@@ -64,9 +66,7 @@ def basis_indices(num_qubits: int) -> np.ndarray:
         dtype = np.uint32 if num_qubits <= 31 else np.uint64
         indices = np.arange(1 << num_qubits, dtype=dtype)
         indices.setflags(write=False)
-        if len(_INDEX_CACHE) >= _INDEX_CACHE_SIZE:
-            del _INDEX_CACHE[min(_INDEX_CACHE)]
-        _INDEX_CACHE[num_qubits] = indices
+        indices = _INDEX_CACHE.setdefault(num_qubits, indices)
     return indices
 
 
@@ -193,10 +193,10 @@ def apply_rotation_sequence(
     """Apply a sequence of ``(x_mask, z_mask, phase, theta)`` tuples, repeated.
 
     The generic rotation-by-rotation executor (one copy up front, every
-    rotation in place) — used directly for ad-hoc mask schedules and as the
-    oracle the plan tests compare against.  Note that
-    :meth:`repro.compile.plan.EvolutionPlan.evolve` does NOT go through this:
-    it replays pre-baked per-fragment tables, which is the hot path.
+    rotation in place) for ad-hoc mask schedules, such as
+    :attr:`repro.compile.plan.EvolutionPlan.step_rotations`.
+    :meth:`~repro.compile.plan.EvolutionPlan.evolve` does not go through
+    this: it replays pre-baked per-fragment tables.
     """
     state = np.array(state, dtype=complex, copy=True)
     for _ in range(repetitions):

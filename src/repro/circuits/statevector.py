@@ -103,7 +103,7 @@ class _IndexTables(LRUCache):
         table = super().get(key)
         if table is None:
             table = _permutation_table(*key)
-            self.put(key, table, table.nbytes)
+            table = self.setdefault(key, table, table.nbytes)
         return table
 
 

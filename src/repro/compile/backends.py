@@ -12,9 +12,9 @@ circuits, plus the scaling/oracle pair added with the gate-fusion fast path:
                           ``pauli`` program replays its cached Trotter step
                           with ``dt`` bound and never builds its circuit
 ``"kernel"``              matrix-free Trotter evolution through the cached
-                          mask plan (:mod:`repro.circuits.pauli_kernels`) —
-                          no circuit executed; falls back to ``statevector``
-                          when no plan exists
+                          mask plan's closed-form fragment tables
+                          (:mod:`repro.compile.plan`) — no circuit executed;
+                          falls back to ``statevector`` when no plan exists
 ``"sparse"``              same evolution via cached scipy CSR operators —
                           the backend for registers past the dense sweet spot
 ``"exact"``               ``expm_multiply`` on the assembled Hamiltonian:
@@ -139,10 +139,10 @@ class StatevectorBackend:
 class KernelBackend:
     """Matrix-free term-level evolution through the cached mask plan.
 
-    Executes the program's :meth:`~repro.compile.program.CompiledProgram.evolution_plan`
-    with the vectorized Pauli-rotation kernels of
-    :mod:`repro.circuits.pauli_kernels` — no circuit is built, no gate matrix
-    materialized, one O(2^n) pass per Trotter term.  This is the default dense
+    Executes the program's :meth:`~repro.compile.program.CompiledProgram.evolution_plan`,
+    which applies each fragment's exact exponential from its baked
+    closed-form tables — no circuit is built, no gate matrix materialized,
+    one O(2^n) pass per fragment visit.  This is the default dense
     engine for evolution-kind programs; when no plan exists (a non-evolution
     strategy such as a block encoding or an MPF combination, a complex
     transition fragment under ``complex_mode="trotter_split"``, a fragment

@@ -53,7 +53,6 @@ same tables.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -61,6 +60,7 @@ import numpy as np
 
 from repro.circuits.pauli_kernels import pauli_masks
 from repro.exceptions import CompileError
+from repro.utils.lru import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.compile.problem import SimulationProblem
@@ -81,14 +81,11 @@ _MAX_MERGED_DIAGONAL_BITS = 18
 #: shared basis-index cache.
 _MAX_TABLE_BITS = 14
 
-#: Time-independent lowerings kept by :func:`_lowered`: a bounded LRU (hits
-#: move to the back, eviction pops the front), shared by every thread of the
-#: process under one lock.  An entry holds one complex unit angle table on
-#: the support (2^w entries) per fragment, plus the 2^n float64 energy vector
-#: of an all-diagonal Hamiltonian (at most 2 MiB at the merge cap).
-_LOWERING_CACHE: "dict[tuple, _Lowering]" = {}
-_LOWERING_CACHE_CAP = 16
-_LOWERING_LOCK = threading.Lock()
+#: Time-independent lowerings kept by :func:`_lowered`, at most 16.  An
+#: entry holds one complex unit angle table on the support (2^w entries)
+#: per fragment, plus the 2^n float64 energy vector of an all-diagonal
+#: Hamiltonian (at most 2 MiB at the merge cap).
+_LOWERING_CACHE = LRUCache(cap=16)
 
 
 class PlanLoweringError(CompileError):
@@ -620,11 +617,9 @@ def _lowered(problem: "SimulationProblem", strategy: str) -> _Lowering:
     split_mode = problem.options.complex_mode == "trotter_split"
     key = (strategy, split_mode, _MAX_TABLE_BITS, _MAX_MERGED_DIAGONAL_BITS,
            hamiltonian.num_qubits, hamiltonian.sequence_key())
-    with _LOWERING_LOCK:
-        lowering = _LOWERING_CACHE.pop(key, None)
-        if lowering is not None:
-            _LOWERING_CACHE[key] = lowering  # re-insertion moves the hit to the back
-            return lowering
+    lowering = _LOWERING_CACHE.get(key)
+    if lowering is not None:
+        return lowering
 
     n = hamiltonian.num_qubits
     if strategy == "pauli":
@@ -656,13 +651,7 @@ def _lowered(problem: "SimulationProblem", strategy: str) -> _Lowering:
             _check_table_width(entries, term.label)
             lowered.append(_fragment(n, entries))
         fragments = tuple(lowered)
-    lowering = _Lowering(fragments, _energy(n, fragments))
-
-    with _LOWERING_LOCK:
-        while len(_LOWERING_CACHE) >= _LOWERING_CACHE_CAP:
-            _LOWERING_CACHE.pop(next(iter(_LOWERING_CACHE)))
-        _LOWERING_CACHE[key] = lowering
-    return lowering
+    return _LOWERING_CACHE.setdefault(key, _Lowering(fragments, _energy(n, fragments)))
 
 
 def lower_problem(problem: "SimulationProblem", strategy: str) -> EvolutionPlan:

@@ -100,9 +100,7 @@ def _entry(problem: "SimulationProblem", strategy: str) -> "tuple[tuple, _Entry]
         fragments = pauli_fragments(
             problem.pauli_operator(), problem.num_qubits, options.pauli_options()
         )
-    entry = _Entry(fragments)
-    _STEPS.put(key, entry)
-    return key, entry
+    return key, _STEPS.setdefault(key, _Entry(fragments))
 
 
 def step_fragments(

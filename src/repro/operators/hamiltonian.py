@@ -10,7 +10,6 @@ block-encoding of Section IV works with.
 from __future__ import annotations
 
 import marshal
-import threading
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,6 +22,7 @@ from repro.exceptions import OperatorError
 from repro.operators.conversion import scb_term_to_pauli
 from repro.operators.pauli import PauliOperator
 from repro.operators.scb_term import SCBTerm
+from repro.utils.lru import LRUCache
 
 
 @dataclass(frozen=True)
@@ -88,20 +88,14 @@ def _canonical_dict(num_qubits: int, payload: Sequence[tuple]) -> dict:
 #: record exact types, float bits and container order, so two payloads that
 #: could parse differently (``-0.0`` and ``0.0``, ``1`` and ``1.0``) never
 #: share a key.  Each entry is ``(num_qubits, as-written terms, canonical
-#: form)``, all immutable.  A bounded LRU (hits move to the back, eviction
-#: pops the front) shared by every thread under one lock.
-_PARSED: "dict[bytes, tuple[int, tuple[SCBTerm, ...], _CanonicalForm]]" = {}
-_PARSED_CAP = 64
-_PARSED_LOCK = threading.Lock()
+#: form)``, all immutable.
+_PARSED = LRUCache(cap=64)
 
 #: Pauli expansions, keyed on ``(sequence_key(), include_hc)``: order-
 #: sensitive, because string order is the ``pauli`` Trotter product's order,
-#: and invalidated by ``add_term`` through the sequence key.  A bounded LRU
-#: like :data:`_PARSED`, shared by every thread under one lock; callers only
+#: and invalidated by ``add_term`` through the sequence key.  Callers only
 #: ever get copies, so mutating a result cannot reach the stored operator.
-_PAULI: "dict[tuple, PauliOperator]" = {}
-_PAULI_CAP = 64
-_PAULI_LOCK = threading.Lock()
+_PAULI = LRUCache(cap=64)
 
 
 class Hamiltonian:
@@ -246,10 +240,7 @@ class Hamiltonian:
             key = marshal.dumps((payload["num_qubits"], payload["terms"]), 2)
         except (LookupError, TypeError, ValueError):
             key = None
-        with _PARSED_LOCK:
-            entry = _PARSED.pop(key, None)
-            if entry is not None:
-                _PARSED[key] = entry  # re-insertion moves the hit to the back
+        entry = _PARSED.get(key)
         if entry is not None:
             return cls._from_form(*entry)
         ham = cls(
@@ -258,10 +249,7 @@ class Hamiltonian:
         )
         if key is not None:
             entry = (ham.num_qubits, tuple(ham._terms), ham._canonical_form())
-            with _PARSED_LOCK:
-                while len(_PARSED) >= _PARSED_CAP:
-                    _PARSED.pop(next(iter(_PARSED)))
-                _PARSED[key] = entry
+            _PARSED.setdefault(key, entry)
         return ham
 
     def canonical(self) -> "Hamiltonian":
@@ -361,20 +349,13 @@ class Hamiltonian:
         modify.
         """
         key = (self.sequence_key(), include_hc)
-        with _PAULI_LOCK:
-            expansion = _PAULI.pop(key, None)
-            if expansion is not None:
-                _PAULI[key] = expansion  # re-insertion moves the hit to the back
+        expansion = _PAULI.get(key)
         if expansion is None:
             expansion = PauliOperator()
             for fragment in self.hermitian_fragments(auto_hc=include_hc):
                 for string, coeff in fragment.to_pauli().items():
                     expansion._add(string, coeff)
-            expansion = expansion.simplify()
-            with _PAULI_LOCK:
-                while len(_PAULI) >= _PAULI_CAP:
-                    _PAULI.pop(next(iter(_PAULI)))
-                _PAULI[key] = expansion
+            expansion = _PAULI.setdefault(key, expansion.simplify())
         return expansion.copy()
 
     # ------------------------------------------------------------------ physics

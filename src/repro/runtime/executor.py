@@ -37,6 +37,7 @@ from repro.exceptions import ReproError, SpecError
 from repro.resilience import FAULTS_ENV, fault_point
 from repro.resilience import reset_process as _reset_fault_state
 from repro.telemetry import current_trace_context, metrics, span, trace_context
+from repro.utils.lru import LRUCache
 
 logger = logging.getLogger("repro.runtime.executor")
 
@@ -49,14 +50,11 @@ logger = logging.getLogger("repro.runtime.executor")
 #: Per-process compiled-program memo, keyed on (problem content key,
 #: strategy).  A repeats-style sweep expands to many specs identical up to
 #: their seed; without this, every grid point landing in the same worker
-#: would rebuild the same circuit/plan from scratch.  Bounded LRU (hits
-#: move to the back, eviction pops the front) so a long-lived pool cannot
-#: hoard build products — and so two strategies interleaved across a wide
-#: sweep keep their hot programs instead of FIFO-thrashing each other out.
-#: One lock guards it: the daemon's worker threads share it.
-_PROGRAM_MEMO: dict[tuple[str, str], Any] = {}
-_PROGRAM_MEMO_CAP = 32
-_PROGRAM_LOCK = threading.Lock()
+#: would rebuild the same circuit/plan from scratch.  Bounded in entries, so
+#: a long-lived pool cannot hoard build products, and LRU, so two strategies
+#: interleaved across a wide sweep keep their hot programs instead of
+#: FIFO-thrashing each other out.  The daemon's worker threads share it.
+_PROGRAM_MEMO = LRUCache(cap=32)
 
 
 def _memoized_program(problem, strategy: str):
@@ -65,23 +63,19 @@ def _memoized_program(problem, strategy: str):
     The key ignores term order, so a miss compiles the problem with its
     terms sorted: what a key maps to never depends on which term order was
     seen first.  ``compile_problem`` is lazy (circuits and plans are built on
-    first run), so it runs under the lock.
+    first run), so threads that miss one key together each compile cheaply,
+    and every one of them gets the program stored first.
     """
     from repro.compile.pipeline import compile_problem
 
     key = (problem.content_key(), strategy.lower())
-    with _PROGRAM_LOCK:
-        program = _PROGRAM_MEMO.pop(key, None)
-        if program is None:
-            metrics.incr("compile.memo_misses")
-            canonical = replace(problem, hamiltonian=problem.hamiltonian.canonical())
-            program = compile_problem(canonical, strategy)
-            while len(_PROGRAM_MEMO) >= _PROGRAM_MEMO_CAP:
-                _PROGRAM_MEMO.pop(next(iter(_PROGRAM_MEMO)))
-        else:
-            metrics.incr("compile.memo_hits")
-        _PROGRAM_MEMO[key] = program  # (re-)insertion puts it at the LRU back
-    return program
+    program = _PROGRAM_MEMO.get(key)
+    if program is not None:
+        metrics.incr("compile.memo_hits")
+        return program
+    metrics.incr("compile.memo_misses")
+    canonical = replace(problem, hamiltonian=problem.hamiltonian.canonical())
+    return _PROGRAM_MEMO.setdefault(key, compile_problem(canonical, strategy))
 
 
 def execute_spec(payload: dict) -> dict:

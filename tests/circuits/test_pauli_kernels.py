@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from _stress import hammer
+from repro.circuits import pauli_kernels
 from repro.circuits.pauli_kernels import (
     apply_diagonal_rotation,
     apply_pauli_rotation,
@@ -149,3 +151,14 @@ class TestIndexCache:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1
+
+    def test_shared_by_threads_under_a_tiny_switch_interval(self):
+        # The daemon bakes plans, and so calls this, on several threads.
+        def look_up(rng) -> None:
+            width = rng.randint(1, 8)
+            indices = basis_indices(width)
+            assert indices.shape == (1 << width,) and indices[-1] == (1 << width) - 1
+            assert len(pauli_kernels._INDEX_CACHE) <= 4
+
+        hammer(look_up, seconds=1.0, threads=8)
+        assert len(pauli_kernels._INDEX_CACHE) <= 4

@@ -11,16 +11,12 @@ from the dtype in complex64), and must never write the caller's array.
 
 from __future__ import annotations
 
-import os
-import sys
-import threading
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _stress import hammer
 from repro.circuits import (
     ControlledGate,
     DensityMatrix,
@@ -268,34 +264,13 @@ class TestIndexTableCache:
         tables = _IndexTables(5 * 8 * 64)  # five 6-qubit tables
         keys = [(6, (c, t), "x", 1) for c in range(6) for t in range(6) if c != t]
         expected = {key: statevector_module._permutation_table(*key) for key in keys}
-        errors: list = []
-        deadline = time.monotonic() + 1.0
 
-        def get_until_deadline(seed: int) -> None:
-            pick = np.random.default_rng(seed)
-            try:
-                while time.monotonic() < deadline:
-                    key = keys[int(pick.integers(len(keys)))]
-                    np.testing.assert_array_equal(tables.get(key), expected[key])
-                    assert tables.nbytes <= tables.cap_bytes
-            except Exception as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
+        def get(rng) -> None:
+            key = rng.choice(keys)
+            np.testing.assert_array_equal(tables.get(key), expected[key])
+            assert tables.nbytes <= tables.cap_bytes
 
-        threads = [
-            threading.Thread(target=get_until_deadline, args=(seed,))
-            for seed in range(2 * (os.cpu_count() or 1) + 2)
-        ]
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
+        hammer(get, seconds=1.0)
         # A lost update of the byte count would break this equality.
         assert tables.nbytes == sum(t.nbytes for t in tables._entries.values())
         assert len(tables._entries) <= 5

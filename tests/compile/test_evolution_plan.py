@@ -11,9 +11,6 @@ all-diagonal (HUBO) Hamiltonian are covered as well.
 
 from __future__ import annotations
 
-import sys
-import threading
-import time as clock
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +20,7 @@ from hypothesis import strategies as st
 
 import repro
 import repro.compile.plan as plan_module
+from _stress import hammer
 from repro.applications.hubo import random_hubo
 from repro.circuits.statevector import Statevector
 from repro.compile.plan import (
@@ -33,6 +31,7 @@ from repro.compile.plan import (
 from repro.operators.hamiltonian import Hamiltonian
 from repro.operators.scb_term import SCBTerm
 from repro.utils.linalg import random_statevector
+from repro.utils.lru import LRUCache
 
 ALPHABET = "IXYZnmsd"
 
@@ -436,7 +435,7 @@ class TestLoweringCache:
 
     def test_concurrent_lowering_never_raises_and_holds_the_cap(self, monkeypatch):
         # The daemon lowers from several worker threads at once.
-        monkeypatch.setattr(plan_module, "_LOWERING_CACHE_CAP", 2)
+        monkeypatch.setattr(plan_module, "_LOWERING_CACHE", LRUCache(cap=2))
         problems = [
             repro.SimulationProblem(hubbard_like(order), 0.6, steps=2, order=2)
             for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2])
@@ -447,39 +446,17 @@ class TestLoweringCache:
             for index, problem in enumerate(problems)
             for strategy in ("direct", "pauli")
         }
-        errors: list = []
         sizes: list = []
-        deadline = clock.monotonic() + 2.0
 
-        def lower_until_deadline(seed: int) -> None:
-            rng = np.random.default_rng(seed)
-            try:
-                while clock.monotonic() < deadline:
-                    index = int(rng.integers(len(problems)))
-                    strategy = ("direct", "pauli")[int(rng.integers(2))]
-                    out = lower_problem(problems[index], strategy).evolve(psi)
-                    sizes.append(len(plan_module._LOWERING_CACHE))
-                    assert np.array_equal(out, expected[index, strategy])
-            except Exception as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
+        def lower(rng) -> None:
+            index = rng.randrange(len(problems))
+            strategy = rng.choice(("direct", "pauli"))
+            out = lower_problem(problems[index], strategy).evolve(psi)
+            sizes.append(len(plan_module._LOWERING_CACHE))
+            assert np.array_equal(out, expected[index, strategy])
 
-        threads = [
-            threading.Thread(target=lower_until_deadline, args=(seed,))
-            for seed in range(4)
-        ]
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, so races show up
-        try:
-            for thread in threads:
-                thread.start()
-            while clock.monotonic() < deadline + 30 and any(
-                thread.is_alive() for thread in threads
-            ):
-                sizes.append(len(plan_module._LOWERING_CACHE))
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
+        def watch() -> None:
+            sizes.append(len(plan_module._LOWERING_CACHE))
+
+        hammer(lower, seconds=2.0, threads=4, watch=watch)
         assert sizes and max(sizes) <= 2

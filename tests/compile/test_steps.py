@@ -9,15 +9,11 @@ threads that share it.
 
 from __future__ import annotations
 
-import os
-import sys
-import threading
-import time
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
+from _stress import hammer
 from repro.circuits.statevector import Statevector
 from repro.compile import steps
 from repro.compile.pipeline import compile_problem
@@ -171,34 +167,13 @@ def test_threads_share_the_cache_under_a_tiny_switch_interval(fresh_cache):
         compile_problem(case, "pauli").run("statevector")
         step_bytes[key, case.order] = fresh_cache._sizes[key]
     fresh_cache.clear()
-    errors: list = []
-    deadline = time.monotonic() + 1.0
 
-    def bind_until_deadline(seed: int) -> None:
-        pick = np.random.default_rng(seed)
-        try:
-            while time.monotonic() < deadline:
-                index = int(pick.integers(len(cases)))
-                state = compile_problem(cases[index], "pauli").run("statevector")
-                assert state.data.tobytes() == expected[index]
-        except Exception as exc:  # noqa: BLE001 - reported below
-            errors.append(exc)
+    def bind(rng) -> None:
+        index = rng.randrange(len(cases))
+        state = compile_problem(cases[index], "pauli").run("statevector")
+        assert state.data.tobytes() == expected[index]
 
-    threads = [
-        threading.Thread(target=bind_until_deadline, args=(seed,))
-        for seed in range(2 * (os.cpu_count() or 1) + 2)
-    ]
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
+    hammer(bind, seconds=1.0)
     # A lost update of the byte count, or a step charged twice, would break these.
     assert fresh_cache.nbytes == sum(fresh_cache._sizes.values())
     for key, entry in fresh_cache._entries.items():

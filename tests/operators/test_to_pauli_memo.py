@@ -7,16 +7,13 @@ order (the ``pauli`` Trotter product's order).
 
 from __future__ import annotations
 
-import os
-import sys
-import threading
-import time
-
 import numpy as np
 
 import repro
+from _stress import hammer
 from repro.operators import hamiltonian as hamiltonian_module
 from repro.operators.pauli import PauliOperator, PauliString
+from repro.utils.lru import LRUCache
 
 LABELS = [("nsdI", 0.8), ("IZZI", 0.3 - 0.1j), ("XIXI", 0.2), ("IdnX", 0.5j)]
 
@@ -75,43 +72,21 @@ def test_reordered_terms_give_the_reordered_strings():
 
 
 def test_shared_by_threads_under_a_tiny_switch_interval(monkeypatch):
-    monkeypatch.setattr(hamiltonian_module, "_PAULI", {})
-    monkeypatch.setattr(hamiltonian_module, "_PAULI_CAP", 2)
+    monkeypatch.setattr(hamiltonian_module, "_PAULI", LRUCache(cap=2))
     rng = np.random.default_rng(7)
     hamiltonians = []
     for _ in range(5):  # more sequences than the cap, so entries churn
         order = rng.permutation(len(LABELS))
         hamiltonians.append(repro.Hamiltonian.from_labels(4, [LABELS[i] for i in order]))
     expected = [_items(_unmemoized(ham)) for ham in hamiltonians]
-    errors: list = []
     sizes: list = []
-    deadline = time.monotonic() + 1.0
 
-    def expand_until_deadline(seed: int) -> None:
-        pick = np.random.default_rng(seed)
-        try:
-            while time.monotonic() < deadline:
-                index = int(pick.integers(len(hamiltonians)))
-                result = hamiltonians[index].to_pauli()
-                assert _items(result) == expected[index]
-                result._add(PauliString("YYYY"), 1.0)  # must never reach the memo
-                sizes.append(len(hamiltonian_module._PAULI))
-        except Exception as exc:  # noqa: BLE001 - reported below
-            errors.append(exc)
+    def expand(pick) -> None:
+        index = pick.randrange(len(hamiltonians))
+        result = hamiltonians[index].to_pauli()
+        assert _items(result) == expected[index]
+        result._add(PauliString("YYYY"), 1.0)  # must never reach the memo
+        sizes.append(len(hamiltonian_module._PAULI))
 
-    threads = [
-        threading.Thread(target=expand_until_deadline, args=(seed,))
-        for seed in range(2 * (os.cpu_count() or 1) + 2)
-    ]
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
+    hammer(expand, seconds=1.0)
     assert sizes and max(sizes) <= 2

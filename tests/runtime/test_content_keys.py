@@ -10,10 +10,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import random
-import sys
-import threading
-import time
 from dataclasses import replace
 
 import pytest
@@ -21,11 +17,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import repro
+from _stress import hammer
 from repro.exceptions import OperatorError
 from repro.operators.scb_term import SCBTerm
 from repro.runtime import RunSpec, SweepSpec
 from repro.runtime.executor import batch_key
 from repro.service.jobs import job_from_spec
+from repro.utils.lru import LRUCache
 from repro.utils.serialization import canonical_json
 
 CHARS = "IXYZnmsd"
@@ -228,8 +226,7 @@ class TestParseMemo:
         # Daemon handler threads and in-daemon workers parse at the same time.
         from repro.operators import hamiltonian as hamiltonian_module
 
-        monkeypatch.setattr(hamiltonian_module, "_PARSED_CAP", 2)
-        monkeypatch.setattr(hamiltonian_module, "_PARSED", {})
+        monkeypatch.setattr(hamiltonian_module, "_PARSED", LRUCache(cap=2))
         payloads = [
             repro.Hamiltonian.from_labels(3, {"XXI": 0.5, label: 0.25}).to_dict()
             for label in ("IZZ", "YIY", "nsd", "ZZZ", "IIX")
@@ -238,36 +235,15 @@ class TestParseMemo:
             repro.Hamiltonian(3, map(SCBTerm.from_dict, p["terms"])).content_key()
             for p in payloads
         ]
-        errors: list = []
         sizes: list = []
-        deadline = time.monotonic() + 1.0
 
-        def parse_until_deadline(seed: int) -> None:
-            rng = random.Random(seed)
-            try:
-                while time.monotonic() < deadline:
-                    index = rng.randrange(len(payloads))
-                    parsed = repro.Hamiltonian.from_dict(payloads[index])
-                    assert parsed.content_key() == expected[index]
-                    sizes.append(len(hamiltonian_module._PARSED))
-            except Exception as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
+        def parse(rng) -> None:
+            index = rng.randrange(len(payloads))
+            parsed = repro.Hamiltonian.from_dict(payloads[index])
+            assert parsed.content_key() == expected[index]
+            sizes.append(len(hamiltonian_module._PARSED))
 
-        threads = [
-            threading.Thread(target=parse_until_deadline, args=(seed,))
-            for seed in range(2 * (os.cpu_count() or 1) + 2)
-        ]
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
+        hammer(parse, seconds=1.0)
         assert sizes and max(sizes) <= 2
 
     def test_malformed_payloads_raise_as_before(self):

@@ -17,6 +17,7 @@ from repro.runtime import (
 from repro.telemetry import metrics
 from repro.telemetry.report import load_trace_dir, render_report
 from repro.telemetry.schema import validate_spans
+from repro.utils.lru import LRUCache
 
 PHASES = ("compile", "plan", "evolve", "encode")
 
@@ -131,7 +132,7 @@ class TestMetricsInstrumentation:
     def test_compile_memo_counters(self, monkeypatch):
         from repro.runtime import executor as executor_module
 
-        monkeypatch.setattr(executor_module, "_PROGRAM_MEMO", {})
+        monkeypatch.setattr(executor_module, "_PROGRAM_MEMO", LRUCache(cap=32))
         spec = RunSpec(problem=problem())
         execute_spec(spec.to_dict(canonical=True))
         execute_spec(spec.to_dict(canonical=True))
