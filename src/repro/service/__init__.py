@@ -4,7 +4,7 @@ PR 5's :mod:`repro.runtime` gave every *process* content-addressed caching
 and a compile memo; this package promotes that to every *client*.  A daemon
 (``python -m repro.service serve``) owns one shared
 :class:`~repro.runtime.cache.ResultCache` and compile memo, accepts
-run/sweep/batch jobs over a Unix socket (JSON-lines frames) into a priority
+run/sweep/batch jobs over a Unix socket (binary frames) into a priority
 queue with per-job state files, and fans chunks of grid points out to an
 in-daemon worker threads plus any number of external ``repro.service worker``
 processes — other containers or machines joining through a forwarded

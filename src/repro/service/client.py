@@ -1,6 +1,6 @@
 """Client side of the repro service: job control plus the Executor seam.
 
-:class:`ServiceClient` speaks the JSON-lines protocol to a running daemon.
+:class:`ServiceClient` speaks the service's frame protocol to a running daemon.
 It exposes the job API (``submit``/``status``/``wait``/``result``/``cancel``/
 ``stats``/``workers``/``shutdown_daemon``) *and* implements the
 :class:`~repro.runtime.executor.Executor` protocol (``map_specs``), so the

@@ -1,7 +1,7 @@
 """The repro daemon: one warm cache and compile memo serving many clients.
 
 The daemon owns the shared :class:`~repro.runtime.cache.ResultCache` and the
-per-process compiled-program memo, listens on a Unix socket (JSON-lines
+per-process compiled-program memo, listens on a Unix socket (binary
 frames, see :mod:`repro.service.protocol`) and maintains a priority queue of
 run/sweep/batch jobs.  Work fans out in fixed-size *chunks* of grid points
 through two kinds of workers running one loop
@@ -59,9 +59,9 @@ from repro.service.jobs import Job, JobStore, job_from_batch, job_from_spec
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     RemoteError,
+    ServiceConnectionError,
     ServiceError,
     default_service_dir,
-    entry_to_wire,
     outcome_from_wire,
     recv_frame,
     send_frame,
@@ -408,8 +408,12 @@ class Daemon:
                     if frame is None:
                         break
                     send_frame(stream, self.handle(frame))
-        except (OSError, ValueError, ServiceError):
+        except (OSError, ValueError, ServiceConnectionError):
             pass  # client went away mid-frame; nothing to answer
+        except ServiceError as exc:
+            # Not a frame this protocol writes (a JSON-lines peer's first
+            # bytes read as an impossible header length): drop the peer.
+            logger.warning("dropping a connection: %s", exc)
 
     # -------------------------------------------------------------- dispatch
 
@@ -553,8 +557,8 @@ class Daemon:
             "timings": point.timings or {},
         }
         if point.status == J.OK:
-            # The stored entry goes out as it is: the wire carries the same
-            # packed bytes the cache holds (see outcome_from_wire).
+            # The stored entry goes out as it is: the frame carries the same
+            # packed bytes the cache holds as an attachment.
             entry = self.cache.get_entry(point.key)
             if entry is None:
                 entry = self._uncached_results.get(point.key)
@@ -569,7 +573,7 @@ class Daemon:
                         "traceback": "",
                     },
                 }
-            return {**base, "ok": True, "entry": entry_to_wire(entry)}
+            return {**base, "ok": True, "entry": entry}
         if point.status == J.POINT_FAILED:
             return {**base, "ok": False, "error": point.error}
         kind = "CancelledError" if point.status == J.POINT_CANCELLED else "PendingError"

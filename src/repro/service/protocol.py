@@ -1,19 +1,32 @@
-"""Wire protocol of the repro service: JSON-lines frames over a Unix socket.
+"""Wire protocol of the repro service: binary frames over a Unix socket.
 
 Every exchange between a client (or worker) and the daemon is a sequence of
-*frames*: one JSON object per line, UTF-8, newline-terminated.  A connection
-may carry any number of request/response pairs; the daemon answers each frame
-with exactly one frame.  Requests are ``{"op": <name>, ...fields}``;
-responses are ``{"ok": true, ...fields}`` or ``{"ok": false, "error":
-{"type", "message"}}``.
+*frames*.  A connection may carry any number of request/response pairs; the
+daemon answers each frame with exactly one frame.  Requests are
+``{"op": <name>, ...fields}``; responses are ``{"ok": true, ...fields}`` or
+``{"ok": false, "error": {"type", "message"}}``.
 
-A successful outcome's result cannot ride in plain JSON (its arrays are raw
-bytes), so :func:`outcome_to_wire` replaces its ``result`` and ``arrays`` with
-one ``entry`` field: the base64 of :func:`repro.runtime.results.pack`'s bytes,
-the same bytes a cache entry holds on disk, which is why the daemon can serve
-a stored entry without decoding it.  :func:`outcome_from_wire` unpacks it into
-the outcome dict :func:`repro.runtime.executor.execute_spec` produces.  That
-entry codec is ``PROTOCOL_VERSION`` 2.
+A frame is a JSON header plus raw *attachments*, laid out as
+
+* an 8-byte prefix: the header's length and the attachment count, each a
+  big-endian unsigned 32-bit integer;
+* the header, the frame's dict as UTF-8 JSON;
+* one big-endian unsigned 64-bit length per attachment;
+* the attachments' bytes, back to back.
+
+Any ``bytes``, ``bytearray`` or ``memoryview`` value in a frame travels as
+an attachment: the header holds ``{"$attachment": i}`` in its place, and
+:func:`recv_frame` puts a writable ``memoryview`` of the received bytes back
+there.  A frame without attachments is just its header.
+
+A successful outcome's result travels as one such value: :func:`outcome_to_wire`
+replaces its ``result`` and ``arrays`` with an ``entry`` holding
+:func:`repro.runtime.results.pack`'s bytes, the same bytes a cache entry
+holds on disk, which is why the daemon serves a stored entry as it is.
+:func:`outcome_from_wire` unpacks it into the outcome dict
+:func:`repro.runtime.executor.execute_spec` produces; a received entry is
+writable, so its arrays are views into the frame, not copies.  This framing
+is ``PROTOCOL_VERSION`` 3.
 
 Daemon, workers and clients agree on filesystem defaults through
 :func:`default_service_dir` (``$REPRO_SERVICE_DIR`` or
@@ -23,10 +36,10 @@ result cache namespace all live under it unless overridden.
 
 from __future__ import annotations
 
-import binascii
 import json
 import os
 import socket
+import struct
 import time
 from pathlib import Path
 from typing import Any, BinaryIO
@@ -36,15 +49,26 @@ from repro.resilience import fault_point
 from repro.runtime.results import pack, unpack
 
 #: Bump when the frame schema changes shape; the daemon refuses mismatches
-#: (2: a result travels as one packed ``entry``).
-PROTOCOL_VERSION = 2
+#: (2: a result travels as one packed ``entry``; 3: binary frames, the entry
+#: an attachment).
+PROTOCOL_VERSION = 3
 
 #: Environment override for the service directory (socket + job state files).
 SERVICE_DIR_ENV = "REPRO_SERVICE_DIR"
 
-#: Hard cap on one frame's size (a 24-qubit complex statevector is ~512 MiB
-#: of base64; beyond that something is wrong with the request, not the limit).
+#: Hard cap on one frame's size, prefix and lengths included (a 24-qubit
+#: complex statevector is 256 MiB; beyond that something is wrong with the
+#: request, not the limit).  Every length a frame declares is checked
+#: against it before anything is allocated.  A JSON-lines peer's first
+#: bytes (``{"…``) read as a header of at least 0x7b000000 bytes, past it.
 MAX_FRAME_BYTES = 1024**3
+
+#: A frame's prefix (header length, attachment count) and one attachment's
+#: length; see the module docstring.
+_PREFIX, _LENGTH = struct.Struct(">II"), struct.Struct(">Q")
+
+#: The header key that stands for an attachment.
+_ATTACHMENT = "$attachment"
 
 
 class ServiceError(ReproError):
@@ -95,23 +119,118 @@ def default_socket_path(service_dir: "str | Path | None" = None) -> Path:
 
 
 def send_frame(stream: BinaryIO, payload: dict) -> None:
-    """Write one newline-terminated JSON frame and flush."""
-    line = json.dumps(payload, separators=(",", ":"), ensure_ascii=True)
-    stream.write(line.encode("utf-8") + b"\n")
+    """Write one frame and flush; every bytes-like value becomes an attachment.
+
+    The prefix, header and lengths go out in one write, then each
+    attachment as it is: a buffered stream passes a write larger than its
+    buffer straight through, so no attachment is copied into a joined string.
+    """
+    attachments: "list[memoryview]" = []
+
+    def attach(value):
+        if not isinstance(value, (bytes, bytearray, memoryview)):
+            raise TypeError(f"a {type(value).__name__} cannot travel in a frame")
+        attachments.append(memoryview(value).cast("B"))
+        return {_ATTACHMENT: len(attachments) - 1}
+
+    header = json.dumps(
+        payload, separators=(",", ":"), ensure_ascii=True, default=attach
+    ).encode("ascii")
+    stream.write(b"".join([
+        _PREFIX.pack(len(header), len(attachments)),
+        header,
+        struct.pack(f">{len(attachments)}Q", *map(len, attachments)),
+    ]))
+    for attachment in attachments:
+        stream.write(attachment)
     stream.flush()
 
 
+def _fill(stream: BinaryIO, buffer, what: str, *, eof_ok: bool = False) -> bool:
+    """Fill ``buffer`` from ``stream``; ``False`` only on a clean EOF when allowed.
+
+    A stream that ends part way raises :class:`ServiceConnectionError`: the
+    peer went away mid-frame.
+    """
+    view, got = memoryview(buffer), 0
+    while got < len(view):
+        count = stream.readinto(view[got:])
+        if not count:
+            if got == 0 and eof_ok:
+                return False
+            raise ServiceConnectionError(
+                f"frame truncated in its {what}: {got} of {len(view)} bytes"
+            )
+        got += count
+    return True
+
+
 def recv_frame(stream: BinaryIO) -> "dict | None":
-    """Read one frame; ``None`` on a clean EOF before any bytes."""
-    line = stream.readline(MAX_FRAME_BYTES)
-    if not line:
+    """Read one frame; ``None`` on a clean EOF before any bytes.
+
+    A frame that declares more than :data:`MAX_FRAME_BYTES` raises
+    :class:`ServiceError` before anything is allocated for it, and so does
+    a header that is not a JSON object with one placeholder per attachment.
+    A frame cut short raises :class:`ServiceConnectionError`.
+    """
+    prefix = bytearray(_PREFIX.size)
+    if not _fill(stream, prefix, "prefix", eof_ok=True):
         return None
-    if not line.endswith(b"\n") and len(line) >= MAX_FRAME_BYTES:
-        raise ServiceError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
+    size, count = _PREFIX.unpack(prefix)
+    if size + count * _LENGTH.size > MAX_FRAME_BYTES - _PREFIX.size:
+        raise ServiceError(
+            f"malformed frame: a {size}-byte header and {count} attachments "
+            f"exceed {MAX_FRAME_BYTES} bytes"
+        )
+    header = bytearray(size)
+    _fill(stream, header, "header")
+    packed = bytearray(count * _LENGTH.size)
+    _fill(stream, packed, "attachment lengths")
+    lengths = struct.unpack(f">{count}Q", packed)
+    if sum(lengths) > MAX_FRAME_BYTES - _PREFIX.size - size - len(packed):
+        raise ServiceError(
+            f"malformed frame: {count} attachments of {sum(lengths)} bytes "
+            f"exceed {MAX_FRAME_BYTES} bytes"
+        )
+    body = memoryview(bytearray(sum(lengths)))
+    _fill(stream, body, "attachments")
+    views, offset = [], 0
+    for length in lengths:
+        views.append(body[offset:offset + length])
+        offset += length
+    return _decode_header(header, views)
+
+
+def _decode_header(header: bytearray, views: "list[memoryview]") -> dict:
+    """The frame's dict, each ``{"$attachment": i}`` replaced by ``views[i]``.
+
+    A placeholder takes its view out of ``views``, so an index out of range,
+    one named twice or an attachment named by none makes the frame malformed.
+    """
+
+    def placeholder(obj: dict):
+        if _ATTACHMENT not in obj:
+            return obj
+        index = obj[_ATTACHMENT]
+        if (
+            len(obj) != 1
+            or type(index) is not int
+            or not 0 <= index < len(views)
+            or views[index] is None
+        ):
+            raise ServiceError(f"malformed frame: bad attachment placeholder {obj!r}")
+        view, views[index] = views[index], None
+        return view
+
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(header, object_hook=placeholder) if views else json.loads(header)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ServiceError(f"malformed frame: {exc}") from exc
+    unnamed = sum(view is not None for view in views)
+    if unnamed:
+        raise ServiceError(
+            f"malformed frame: {unnamed} of {len(views)} attachments named by no placeholder"
+        )
     if not isinstance(payload, dict):
         raise ServiceError(f"frame must be a JSON object, got {type(payload).__name__}")
     return payload
@@ -165,9 +284,11 @@ def request(
     """One round trip on a fresh connection; raises :class:`RemoteError` on failure.
 
     A fresh connection per request keeps every caller robust against daemon
-    restarts at the cost of one (cheap, local) ``connect`` — the JSON-lines
-    protocol itself supports multiplexing many frames per connection, which
-    the daemon-side handler honours for clients that want it.
+    restarts at the cost of one (cheap, local) ``connect`` — the protocol
+    itself supports multiplexing many frames per connection, which the
+    daemon-side handler honours for clients that want it.  A response cut
+    short mid-frame is a :class:`ServiceConnectionError`, like a dropped
+    connection.
     ``connect_window`` is forwarded to :func:`connect`'s startup-race retry.
     """
     payload = {"op": op, "protocol": PROTOCOL_VERSION, **fields}
@@ -177,7 +298,7 @@ def request(
             fault_point("protocol.send")
             send_frame(stream, payload)
             response = recv_frame(stream)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ServiceConnectionError) as exc:
         raise ServiceConnectionError(
             f"request {op!r} to {socket_path} failed mid-flight: {exc}"
         ) from exc
@@ -197,8 +318,8 @@ class ServiceConnection:
 
     :func:`request` opens a fresh socket per op — simple and restart-proof
     for one-shot callers, but a poller like ``repro.service top`` issues
-    several ops per refresh several times a second, and the JSON-lines
-    protocol explicitly supports many frames per connection.  This class
+    several ops per refresh several times a second, and the protocol
+    explicitly supports many frames per connection.  This class
     keeps a single socket open, sends one frame per :meth:`request`, and
     reconnects lazily on the next call after the daemon drops it — so a
     daemon restart costs the poller one failed refresh, not a crash.
@@ -243,7 +364,7 @@ class ServiceConnection:
             stream = self._ensure_stream()
             send_frame(stream, payload)
             response = recv_frame(stream)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, ServiceConnectionError) as exc:
             self.close()
             raise ServiceConnectionError(
                 f"request {op!r} on the held connection to "
@@ -282,24 +403,22 @@ class ServiceConnection:
 # ---------------------------------------------------------------------------
 
 
-def entry_to_wire(entry: bytes) -> str:
-    """Packed result bytes as a wire outcome's ``entry`` string (base64)."""
-    return binascii.b2a_base64(entry, newline=False).decode("ascii")
-
-
 def outcome_to_wire(outcome: dict) -> dict:
-    """An ``execute_spec`` outcome made JSON-safe: a success's result is one ``entry``."""
+    """An ``execute_spec`` outcome for a frame: a success's result is one packed ``entry``."""
     if not outcome.get("ok"):
         return dict(outcome)
     wire = {k: v for k, v in outcome.items() if k not in ("result", "arrays")}
-    wire["entry"] = entry_to_wire(pack(outcome["result"], outcome.get("arrays") or {}))
+    wire["entry"] = pack(outcome["result"], outcome.get("arrays") or {})
     return wire
 
 
 def outcome_from_wire(wire: dict) -> dict:
-    """Inverse of :func:`outcome_to_wire` (the entry back to ``result``/``arrays``)."""
+    """Inverse of :func:`outcome_to_wire` (the entry back to ``result``/``arrays``).
+
+    A received entry is a writable view, so the arrays share its buffer.
+    """
     outcome = dict(wire)
     if "entry" in outcome:
-        header, outcome["arrays"] = unpack(binascii.a2b_base64(outcome.pop("entry")))
+        header, outcome["arrays"] = unpack(outcome.pop("entry"))
         outcome["result"] = header["result"]
     return outcome

@@ -54,7 +54,7 @@ def _coerce_jsonable(value: Any) -> Any:
             raise SerializationError("NaN/Inf cannot appear in a canonical payload")
         return value
     if isinstance(value, (complex, np.complexfloating)):
-        return complex_to_json(complex(value))
+        return [_coerce_jsonable(part) for part in complex_to_json(complex(value))]
     if isinstance(value, dict):
         out = {}
         for key, item in value.items():
@@ -71,21 +71,51 @@ def _coerce_jsonable(value: Any) -> Any:
     )
 
 
+#: The scalar types ``json.dumps`` writes exactly as :func:`_coerce_jsonable`
+#: would leave them.
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _is_plain_json(value: Any) -> bool:
+    """Whether ``value`` is JSON as it is: exact JSON types, ``str`` keys only."""
+    kind = type(value)
+    if kind in _JSON_SCALARS:
+        return True
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str or not _is_plain_json(item):
+                return False
+        return True
+    if kind is list or kind is tuple:
+        for item in value:
+            if not _is_plain_json(item):
+                return False
+        return True
+    return False
+
+
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON encoding of a JSON-able payload.
 
     Keys are sorted, separators are minimal and floats use Python's
     shortest-round-trip ``repr`` — the same payload always yields the same
     byte string.  Tuples are accepted and encoded as lists; numpy scalars are
-    coerced; NaN and infinities are rejected (they do not round-trip).
+    coerced; NaN and infinities are rejected (they do not round-trip).  A
+    payload that is already plain JSON goes to ``json.dumps`` as it is;
+    anything else is coerced first, to the same string.
     """
-    return json.dumps(
-        _coerce_jsonable(payload),
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
-        allow_nan=False,
-    )
+    if not _is_plain_json(payload):
+        payload = _coerce_jsonable(payload)
+    try:
+        return json.dumps(
+            payload,
+            sort_keys=True,
+            separators=(",", ":"),
+            ensure_ascii=True,
+            allow_nan=False,
+        )
+    except ValueError as exc:  # NaN/Inf: coerced payloads hold none
+        raise SerializationError("NaN/Inf cannot appear in a canonical payload") from exc
 
 
 def content_hash(payload: Any, *, tag: str = "repro") -> str:

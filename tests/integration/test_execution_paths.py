@@ -9,8 +9,10 @@ payload alone through :func:`execute_spec` on a cold program memo, so what
 it returns cannot depend on which term order a process compiled first.
 The same payloads then run through ``SerialExecutor.map_specs``, plan-batched
 groups of ``execute_spec_batch``, one warm ``ProcessExecutor(2)``, an
-in-process daemon with one worker thread behind a ``ServiceClient``, and a
-``Session`` whose cache a fresh session replays.  Every outcome must match
+in-process daemon with one worker thread behind a ``ServiceClient``, a daemon
+whose only worker is ``run_worker`` over its socket (so completions and
+results both cross the wire), and a ``Session`` whose cache a fresh session
+replays.  Every outcome must match
 the oracle's: the same ``result`` and, array by array, the same dtype, shape
 and bytes — or the same error type and message.
 """
@@ -18,6 +20,7 @@ and bytes — or the same error type and message.
 from __future__ import annotations
 
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +41,7 @@ from repro.runtime import executor as executor_module
 from repro.runtime.results import encode_result
 from repro.service import ServiceClient
 from repro.service.daemon import Daemon
+from repro.service.worker import run_worker
 from test_bound_steps import hamiltonians
 
 
@@ -144,15 +148,37 @@ def client(tmp_path_factory):
         daemon.shutdown()
 
 
+@pytest.fixture(scope="module")
+def remote(tmp_path_factory):
+    """A daemon without worker threads, served by one worker over its socket."""
+    root = tmp_path_factory.mktemp("remote")
+    daemon = Daemon(service_dir=root / "service", cache=root / "cache", local_workers=0)
+    daemon.start()
+    worker = threading.Thread(
+        target=run_worker,
+        args=(daemon.socket_path,),
+        kwargs={"reconnect_window": 0, "poll_interval": 0.01},
+        daemon=True,
+    )
+    worker.start()
+    try:
+        yield ServiceClient(daemon.socket_path)
+    finally:
+        daemon.shutdown()  # the worker hears ``shutdown`` on its next claim
+        worker.join(timeout=10.0)
+    assert not worker.is_alive()
+
+
 @settings(max_examples=40, deadline=None)
 @given(payloads=sweeps())
-def test_every_path_gives_the_oracle_bytes(pool, client, payloads):
+def test_every_path_gives_the_oracle_bytes(pool, client, remote, payloads):
     oracle = [cold(payload) for payload in payloads]
     paths = {
         "serial": SerialExecutor().map_specs(payloads),
         "batched": batched(payloads),
         "pool": pool.map_specs(payloads),
         "daemon": client.map_specs(payloads),
+        "remote": remote.map_specs(payloads),
         "session": replayed(payloads),
     }
     for path, outcomes in paths.items():

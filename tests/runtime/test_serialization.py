@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -14,6 +16,7 @@ from repro.noise.channels import (
     depolarizing_channel,
     phase_damping_channel,
 )
+from repro.utils import serialization
 from repro.utils.serialization import (
     SerializationError,
     canonical_json,
@@ -23,6 +26,41 @@ from repro.utils.serialization import (
     matrix_from_json,
     matrix_to_json,
 )
+
+
+#: Leaves of both kinds: plain JSON scalars (NaN and infinities included)
+#: and the values only the coercing path accepts or rejects.
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
+)
+
+#: Dict keys: mostly strings, sometimes a key neither path accepts.
+_KEYS = st.one_of(
+    st.text(max_size=4), st.text(max_size=4), st.integers(), st.none(), st.booleans()
+)
+
+
+def json_payloads():
+    """Nested lists, tuples and dicts over :data:`_LEAVES`."""
+    return st.recursive(
+        _LEAVES,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(_KEYS, children, max_size=4),
+        ),
+        max_leaves=16,
+    )
 
 
 class TestCanonicalJson:
@@ -47,6 +85,37 @@ class TestCanonicalJson:
     def test_unknown_types_rejected(self):
         with pytest.raises(SerializationError):
             canonical_json(np.zeros(2))
+
+    def test_complex_nan_is_rejected_like_a_real_one(self):
+        with pytest.raises(SerializationError, match="NaN/Inf"):
+            canonical_json({"z": complex(float("nan"), 1.0)})
+
+    def test_plain_json_skips_the_coercion(self, monkeypatch):
+        def refuse(value):
+            raise AssertionError("coerced a plain-JSON payload")
+
+        monkeypatch.setattr(serialization, "_coerce_jsonable", refuse)
+        payload = {"b": [1, 2.5, None, True], "a": ("x", {"c": -3})}
+        assert canonical_json(payload) == '{"a":["x",{"c":-3}],"b":[1,2.5,null,true]}'
+        with pytest.raises(SerializationError, match="NaN/Inf"):
+            canonical_json({"x": [float("inf")]})
+
+    @settings(max_examples=300)
+    @given(payload=json_payloads())
+    def test_the_fast_path_matches_the_coercing_one(self, payload):
+        try:
+            expected = json.dumps(
+                serialization._coerce_jsonable(payload),
+                sort_keys=True,
+                separators=(",", ":"),
+                ensure_ascii=True,
+                allow_nan=False,
+            )
+        except SerializationError:
+            with pytest.raises(SerializationError):
+                canonical_json(payload)
+        else:
+            assert canonical_json(payload) == expected
 
     def test_content_hash_is_stable_and_tagged(self):
         assert content_hash({"a": 1}) == content_hash({"a": 1})

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import base64
+import io
 import sys
 import threading
 import time
@@ -15,7 +15,12 @@ from repro.runtime.executor import execute_spec
 from repro.service import jobs as J
 from repro.service.daemon import Daemon
 from repro.service.jobs import JobStore
-from repro.service.protocol import outcome_from_wire, outcome_to_wire
+from repro.service.protocol import (
+    outcome_from_wire,
+    outcome_to_wire,
+    recv_frame,
+    send_frame,
+)
 
 from _service_helpers import make_problem, wait_until
 
@@ -173,18 +178,24 @@ class TestDedupAndCache:
         damaged.write_bytes(damaged.read_bytes()[:-1])
         hits, misses = daemon.cache.hits, daemon.cache.misses
 
-        outcomes = daemon.handle({"op": "result", "job_id": ack["job_id"]})["outcomes"]
+        response = daemon.handle({"op": "result", "job_id": ack["job_id"]})
+        outcomes = response["outcomes"]
         # The damaged entry fails its own point only; the uncached point is
         # served from the daemon's in-memory copy.
         assert [o["ok"] for o in outcomes] == [True, False, True, True]
         assert outcomes[1]["error"]["type"] == "CacheMissError"
         assert (daemon.cache.hits - hits, daemon.cache.misses - misses) == (2, 2)
+        frame = io.BytesIO()  # the response frame, as the daemon writes it
+        send_frame(frame, response)
+        frame.seek(0)
+        received = recv_frame(frame)["outcomes"]
         for index in (2, 3):  # the wire carries the stored bytes as they are
             stored = daemon.cache._path(points[index].key).read_bytes()
-            assert base64.b64decode(outcomes[index]["entry"]) == stored
+            assert outcomes[index]["entry"] == stored
+            assert received[index]["entry"] == stored  # one attachment each
         for index in (0, 2, 3):
             reference = execute_spec(points[index].payload)["arrays"]["data"]
-            served = outcome_from_wire(outcomes[index])["arrays"]["data"]
+            served = outcome_from_wire(received[index])["arrays"]["data"]
             assert served.dtype == reference.dtype and served.shape == reference.shape
             assert served.tobytes() == reference.tobytes()
 

@@ -216,3 +216,5 @@ class TestSubprocessEndToEnd:
                         proc.wait(timeout=10)
                     except subprocess.TimeoutExpired:
                         proc.kill()
+            serve.stdout.close()
+            serve.stderr.close()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.runtime import RunSpec
 from repro.runtime.executor import execute_spec
+from repro.runtime.results import pack
 from repro.service import worker as worker_module
 from repro.service.protocol import (
     RemoteError,
@@ -185,8 +186,10 @@ class TestSocketTransport:
         assert [op for op, _ in requests] == ["claim", "complete", "claim"]
         assert all(fields["worker"] == "w1" for _, fields in requests)
         [wire] = requests[1][1]["outcomes"]
-        assert isinstance(wire["entry"], str)  # one base64 packed entry on the wire
         reference = execute_spec(payloads[0])
+        # One packed entry, whose bytes travel as a frame attachment.
+        assert wire["entry"] == pack(reference["result"], reference["arrays"])
+        assert "result" not in wire and "arrays" not in wire
         assert np.array_equal(
             outcome_from_wire(wire)["arrays"]["data"], reference["arrays"]["data"]
         )
